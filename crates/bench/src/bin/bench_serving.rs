@@ -19,11 +19,7 @@
 //! 4. Assert the two verdict byte-streams are identical (the cache must
 //!    be invisible except in speed), then emit `BENCH_serving.json` with
 //!    p50/p99 µs, frames/sec, hit rate, and the cached/uncached speedup.
-//! 5. Race the event-driven [`ServerBackend::Reactor`] core on the same
-//!    sequence with the same (uncached) config: its verdict stream must
-//!    be byte-identical to the threaded core's, and its frames/sec lands
-//!    in the JSON so the CI gate watches both backends.
-//! 6. Race the quantized fast path (`quantized: true`, cache disabled)
+//! 5. Race the quantized fast path (`quantized: true`, cache disabled)
 //!    on the same sequence: the fused fixed-point model must be
 //!    byte-identical to the staged f64 path on the wire. End-to-end
 //!    frames/sec for both legs land in the JSON, but the speedup gate
@@ -43,7 +39,7 @@ use polygraph_bench::{train_paper_model, ExpOptions};
 use polygraph_core::Detector;
 use polygraph_service::proto::VERDICT_LEN;
 use polygraph_service::{
-    start_risk_server_with, RiskServerConfig, RiskServerHandle, ServerBackend, MAX_BATCH_PER_GUARD,
+    start_risk_server_with, RiskServerConfig, RiskServerHandle, MAX_BATCH_PER_GUARD,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -287,19 +283,6 @@ fn main() {
     let stats = cached_server.stats();
     cached_server.shutdown();
 
-    // The reactor leg: same model, same sequence, same (uncached) config,
-    // different connection core.
-    let reactor_config = RiskServerConfig {
-        cache_capacity: 0,
-        backend: ServerBackend::Reactor,
-        ..Default::default()
-    };
-    let reactor_server =
-        start_risk_server_with("127.0.0.1:0", Detector::new(model.clone()), reactor_config)
-            .expect("start reactor server");
-    let reactor = replay(&reactor_server, &pool, &sequence);
-    reactor_server.shutdown();
-
     // The quantized leg: same model, same sequence, cache disabled, but
     // the detector is compiled to the fused fixed-point fast path at
     // startup. Only the uncached assess work changes, so the ratio to
@@ -356,12 +339,6 @@ fn main() {
         uncached.verdicts, cached.verdicts,
         "cached and uncached replays must produce identical verdict streams"
     );
-    // And the backend conformance gate: the connection core must change
-    // nothing at all on the wire.
-    assert_eq!(
-        uncached.verdicts, reactor.verdicts,
-        "threaded and reactor backends must produce identical verdict streams"
-    );
     // And the quantization gate: the fixed-point fast path must change
     // arithmetic, never decisions.
     assert_eq!(
@@ -371,7 +348,6 @@ fn main() {
 
     let (fps_u, p50_u, p99_u) = run_stats(&uncached);
     let (fps_c, p50_c, p99_c) = run_stats(&cached);
-    let (fps_r, p50_r, p99_r) = run_stats(&reactor);
     let (fps_q, p50_q, p99_q) = run_stats(&quant);
     let lookups = stats.cache_hits + stats.cache_misses;
     let hit_rate = if lookups > 0 {
@@ -386,11 +362,6 @@ fn main() {
         "  cached:   {fps_c:>10.0} frames/s   p50 {p50_c:>7.1} µs   p99 {p99_c:>7.1} µs   \
          hit rate {:.3}   speedup {speedup:.2}x",
         hit_rate
-    );
-    println!(
-        "  reactor:  {fps_r:>10.0} frames/s   p50 {p50_r:>7.1} µs   p99 {p99_r:>7.1} µs   \
-         vs threaded {:.2}x",
-        fps_r / fps_u.max(1e-9)
     );
     println!(
         "  quant:    {fps_q:>10.0} frames/s   p50 {p50_q:>7.1} µs   p99 {p99_q:>7.1} µs   \
@@ -423,13 +394,6 @@ fn main() {
             "hits": stats.cache_hits,
             "misses": stats.cache_misses,
             "evictions": stats.cache_evictions,
-        },
-        "reactor": {
-            "frames_per_sec": fps_r,
-            "p50_us": p50_r,
-            "p99_us": p99_r,
-            "verdicts_identical": true,
-            "vs_threaded": fps_r / fps_u.max(1e-9),
         },
         "quant": {
             "frames_per_sec": fps_q,

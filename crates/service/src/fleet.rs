@@ -15,9 +15,9 @@
 //!   node reassigns *only that node's* key ranges (to each range's next
 //!   distinct live node), leaving every other key's owner — and therefore
 //!   every other node's verdict cache — untouched.
-//! * [`RiskFleet`] — N in-process servers (either connection backend)
-//!   sharing one on-disk [`ModelRegistry`]; each node keeps its own swap
-//!   epoch ([`RiskServerHandle::cache_epoch`]) and serving-model version
+//! * [`RiskFleet`] — N in-process servers sharing one on-disk
+//!   [`ModelRegistry`]; each node keeps its own swap epoch
+//!   ([`RiskServerHandle::cache_epoch`]) and serving-model version
 //!   ([`RiskServerHandle::active_model_version`]).
 //! * [`FleetClient`] — routes each submission to its ring owner and fails
 //!   over along the ring's preference order when a node is dead or
@@ -198,9 +198,9 @@ pub struct FleetConfig {
     /// Virtual ring points per node; more points smooth the key-range
     /// split at the cost of a larger (still tiny) ring.
     pub replicas_per_node: usize,
-    /// Configuration applied to every node — backend, cache, shedding,
-    /// clock. Nodes are identical by construction so the merged verdict
-    /// stream cannot depend on which node answered.
+    /// Configuration applied to every node — cache, shedding, clock.
+    /// Nodes are identical by construction so the merged verdict stream
+    /// cannot depend on which node answered.
     pub node: RiskServerConfig,
 }
 

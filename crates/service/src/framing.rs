@@ -95,13 +95,11 @@ pub fn count_frames(pending: &[u8]) -> usize {
 }
 
 /// Resumable per-connection parse state: the pending byte buffer plus
-/// the frame-boundary bookkeeping both server backends share.
+/// the frame-boundary bookkeeping.
 ///
-/// The threaded backend owns one per connection worker; the reactor
-/// backend owns one per connection slot and feeds it whatever each
-/// readiness event delivered — the parse position survives across
-/// arbitrarily split reads, so a frame torn over many readiness events
-/// reassembles exactly once.
+/// Each connection worker owns one and feeds it whatever each read
+/// delivered — the parse position survives across arbitrarily split
+/// reads, so a frame torn over many reads reassembles exactly once.
 #[derive(Debug, Default)]
 pub struct FrameAccumulator {
     pending: Vec<u8>,

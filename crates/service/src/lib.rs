@@ -8,17 +8,12 @@
 //!   fingerprint frame and receives a compact assessment (flagged +
 //!   `risk_factor`) the login flow can act on.
 //! * [`framing`] — the panic-free u16-length-prefixed request framing
-//!   shared by both server backends and their tests, including the
-//!   resumable per-connection [`framing::FrameAccumulator`].
-//! * [`reactor`] — a hand-rolled poll/readiness layer over non-blocking
-//!   sockets plus the explicit per-connection state machine
-//!   ([`reactor::ConnMachine`]) behind the event-driven backend.
+//!   the server and its tests share, including the resumable
+//!   per-connection [`framing::FrameAccumulator`].
 //! * [`server`] — the TCP risk service with a hot-swappable detector:
-//!   retraining never drops a connection. Two interchangeable connection
-//!   cores sit behind [`server::ServerBackend`] — thread-per-connection
-//!   (default) and the multiplexed reactor — with identical verdict
-//!   streams and counters. Fully instrumented with a `polygraph-obs`
-//!   registry, exposed over the wire via `STATS` frames.
+//!   retraining never drops a connection. One thread per connection.
+//!   Fully instrumented with a `polygraph-obs` registry, exposed over the
+//!   wire via `STATS` frames.
 //! * [`client`] — the matching client.
 //! * [`registry`] — a versioned on-disk model store (JSON), with atomic
 //!   publish and latest-model lookup.
@@ -61,7 +56,6 @@ pub mod framing;
 pub mod orchestrator;
 pub mod policy;
 pub mod proto;
-pub mod reactor;
 pub mod registry;
 pub mod server;
 
@@ -78,5 +72,5 @@ pub use proto::{Verdict, VerdictStatus};
 pub use registry::ModelRegistry;
 pub use server::{
     start_risk_server, start_risk_server_with, RiskServerConfig, RiskServerHandle, RiskServerStats,
-    ServerBackend, MAX_BATCH_PER_GUARD,
+    MAX_BATCH_PER_GUARD,
 };

@@ -8,24 +8,13 @@
 //! system enhancements … minimises delays during user interaction"
 //! property (§6.5).
 //!
-//! ## Backends
+//! ## Connection core
 //!
-//! Two interchangeable connection cores sit behind
-//! [`RiskServerConfig::backend`]:
-//!
-//! * [`ServerBackend::Threaded`] — one OS thread per connection (the
-//!   original core, still the default).
-//! * [`ServerBackend::Reactor`] — per-core acceptor shards, each running
-//!   a readiness-driven event loop over non-blocking sockets
-//!   ([`crate::reactor`]) with an explicit per-connection state machine
-//!   ([`crate::reactor::ConnMachine`]), so one shard thread serves
-//!   thousands of connections.
-//!
-//! Both backends run the same private batch path (`process_buffered`)
-//! over the same [`crate::framing::FrameAccumulator`] parse state, so
-//! their verdict byte streams and counter identities are exactly equal —
-//! pinned by the backend-parametrized conformance suites and raced on
-//! identical seeded traffic by `bench_serving`.
+//! One acceptor thread hands every accepted socket to its own worker
+//! thread. A worker blocks in `read` until a frame is complete, drains
+//! whatever else the client pipelined without blocking, and runs the
+//! private batch path (`process_buffered`) over its
+//! [`crate::framing::FrameAccumulator`] parse state.
 //!
 //! ## Observability
 //!
@@ -63,14 +52,12 @@
 
 use crate::framing::{FrameAccumulator, FrameStatus};
 use crate::proto::{encode_stats_response, Verdict, VerdictStatus};
-use crate::reactor::{ConnMachine, Events, Interest, Poll, Token, Waker, WAKE_TOKEN};
 use browser_engine::UserAgent;
 use fingerprint::{decode_submission_view, is_stats_request, submission_cache_key};
 use parking_lot::RwLock;
 use polygraph_cache::{Lookup, VerdictCache};
 use polygraph_core::{Assessment, Detector, PolygraphError, TrainedModel};
 use polygraph_obs::{Clock, Counter, Gauge, Histogram, MonotonicClock, Registry, Snapshot};
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -114,7 +101,7 @@ pub mod metric_names {
     /// Finished worker handles reaped by the acceptor loop (counter).
     pub const CONNECTIONS_REAPED: &str = "server.connections.reaped";
     /// Currently connected clients (gauge): incremented on accept,
-    /// decremented when the worker thread or reactor slot retires.
+    /// decremented when the connection's worker thread retires.
     pub const CONNECTIONS_OPEN: &str = "server.connections.open";
     /// Read-timeout ticks survived by idle keep-alive clients (counter).
     pub const IDLE_TIMEOUTS: &str = "server.idle_timeouts";
@@ -152,23 +139,6 @@ pub mod metric_names {
     pub const CACHE_HIT_MICROS: &str = "cache.hit_micros";
 }
 
-/// Which connection core serves accepted sockets. Both cores run the
-/// identical batch/cache/shed path, so verdict byte streams and counter
-/// identities are equal — only the concurrency model differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerBackend {
-    /// One OS thread per connection with blocking reads (the original
-    /// core). Simple, and still the default; caps out at a few thousand
-    /// concurrent connections.
-    #[default]
-    Threaded,
-    /// Readiness-driven multiplexed event loops ([`crate::reactor`]):
-    /// [`RiskServerConfig::reactor_shards`] acceptor shards, each a
-    /// single thread serving every connection it accepted through an
-    /// explicit per-connection state machine over non-blocking sockets.
-    Reactor,
-}
-
 /// Configuration of a risk server.
 #[derive(Debug, Clone)]
 pub struct RiskServerConfig {
@@ -196,14 +166,6 @@ pub struct RiskServerConfig {
     /// registered, so snapshots — including the byte-diffed exposition
     /// golden — are unchanged, and every frame takes the detector path.
     pub cache_capacity: usize,
-    /// Which connection core serves accepted sockets (default
-    /// [`ServerBackend::Threaded`]).
-    pub backend: ServerBackend,
-    /// Acceptor-shard count for [`ServerBackend::Reactor`]: each shard is
-    /// one event-loop thread with its own clone of the listener. `0` (the
-    /// default) sizes to the machine's available parallelism, capped at 8.
-    /// Ignored by the threaded backend.
-    pub reactor_shards: usize,
     /// Serve cache-missing frames on the quantized fast path: the
     /// detector is compiled ([`Detector::quantize`]) at startup and on
     /// every [`RiskServerHandle::publish_model`], and the batch drain
@@ -222,8 +184,6 @@ impl Default for RiskServerConfig {
             shed_limit: 8 * MAX_BATCH_PER_GUARD,
             cache_shards: 8,
             cache_capacity: 0,
-            backend: ServerBackend::Threaded,
-            reactor_shards: 0,
             quantized: false,
         }
     }
@@ -516,13 +476,9 @@ pub struct RiskServerHandle {
     /// serving detector is at least `v` — fleet rollout relies on this
     /// to prove a node has (or has not) been reached.
     model_version: Arc<AtomicU64>,
-    /// One self-pipe waker per reactor shard (empty for the threaded
-    /// backend), fired at shutdown so every shard leaves its poll within
-    /// one cycle instead of waiting out a tick.
-    wakers: Vec<Waker>,
-    /// The acceptor thread (threaded backend) or the shard event-loop
-    /// threads (reactor backend).
-    workers: Vec<thread::JoinHandle<()>>,
+    /// The acceptor thread; it joins every connection worker before it
+    /// exits.
+    acceptor: thread::JoinHandle<()>,
 }
 
 impl RiskServerHandle {
@@ -670,18 +626,12 @@ impl RiskServerHandle {
     }
 
     /// Stops the acceptor *and* every connection worker, then joins them.
-    /// Threaded workers check the stop flag on every loop, so this
-    /// returns within roughly one read-timeout tick even with
-    /// connected-but-silent clients; reactor shards are woken through
-    /// their self-pipes and exit within one poll cycle.
-    pub fn shutdown(mut self) {
+    /// Workers check the stop flag on every loop, so this returns within
+    /// roughly one read-timeout tick even with connected-but-silent
+    /// clients.
+    pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            let _ = waker.wake();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        let _ = self.acceptor.join();
     }
 }
 
@@ -763,27 +713,7 @@ pub fn start_risk_server_with(
         shed_limit: config.shed_limit,
     };
 
-    let mut wakers = Vec::new();
-    let mut workers = Vec::new();
-    match config.backend {
-        ServerBackend::Threaded => {
-            workers.push(thread::spawn(move || acceptor_loop(listener, ctx)));
-        }
-        ServerBackend::Reactor => {
-            let shards = resolve_reactor_shards(config.reactor_shards);
-            let clock = Arc::clone(&config.clock);
-            for _ in 0..shards {
-                let shard_listener = listener.try_clone()?;
-                let poll = Poll::new()?;
-                wakers.push(poll.waker()?);
-                let shard_ctx = ctx.clone();
-                let shard_clock = Arc::clone(&clock);
-                workers.push(thread::spawn(move || {
-                    reactor_shard_loop(shard_listener, poll, shard_ctx, shard_clock)
-                }));
-            }
-        }
-    }
+    let acceptor = thread::spawn(move || acceptor_loop(listener, ctx));
 
     Ok(RiskServerHandle {
         addr: local,
@@ -794,21 +724,8 @@ pub fn start_risk_server_with(
         shadow,
         quantized: config.quantized,
         model_version: Arc::new(AtomicU64::new(0)),
-        wakers,
-        workers,
+        acceptor,
     })
-}
-
-/// Shard count for the reactor backend: the configured value, or (at 0)
-/// one shard per available core, capped at 8.
-fn resolve_reactor_shards(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8)
 }
 
 fn acceptor_loop(listener: TcpListener, ctx: ConnContext) {
@@ -830,10 +747,12 @@ fn acceptor_loop(listener: TcpListener, ctx: ConnContext) {
                     conn.metrics.connections_open.add(-1);
                 }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+            // `WouldBlock` is the idle case; any other error (`EMFILE`
+            // under a connection flood, `EINTR`, an aborted handshake) is
+            // transient too. Exiting here would drop the listener and
+            // refuse every later connect while the handle looks healthy,
+            // so back off and retry until shutdown.
+            Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
     // Final joins at shutdown: workers observe the stop flag within one
@@ -869,7 +788,7 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// How many buffered complete frames make both backends stop reading and
+/// How many buffered complete frames make a worker stop reading and
 /// process: one batch plus the shed threshold plus one, so an overloaded
 /// connection's backlog becomes *visible* instead of queueing invisibly
 /// (and unboundedly) in kernel buffers.
@@ -962,13 +881,13 @@ struct BatchOutcome {
     close: bool,
 }
 
-/// The assess–reply–shed cycle both backends run once at least one
+/// The assess–reply–shed cycle a worker runs once at least one
 /// complete frame (or an oversize header) is buffered. Splits one batch
 /// off `acc`, answers it (cache lookups, then one detector read guard for
 /// the misses, replies in frame order), sheds any backlog beyond the shed
 /// limit, and appends the closing malformed verdict when parsing stopped
-/// at an oversize header. Every counter is charged here, identically for
-/// both cores — the backends differ only in how `out` reaches the socket.
+/// at an oversize header. Every counter is charged here; the caller only
+/// writes `out` to the socket.
 fn process_buffered(
     acc: &mut FrameAccumulator,
     memo: &mut UaMemo,
@@ -1191,237 +1110,6 @@ fn verdicts_agree(
         (Err(_), Err(_)) => true,
         _ => false,
     }
-}
-
-/// Poll granularity of a reactor shard: bounds accept latency and the
-/// idle-sweep granularity. Shutdown is *not* coupled to this tick — the
-/// self-pipe waker interrupts a poll within one scan interval.
-const REACTOR_TICK: Duration = Duration::from_millis(5);
-
-/// One reactor connection slot: the owned non-blocking socket plus its
-/// state machine and activity bookkeeping.
-struct ConnSlot {
-    stream: TcpStream,
-    machine: ConnMachine,
-    /// Per-connection user-agent parse memo (see [`UaMemo`]).
-    memo: UaMemo,
-    /// Clock micros of the last read/write progress (or idle tick).
-    last_activity: u64,
-    /// The interest currently registered with the poll.
-    interest: Interest,
-}
-
-/// How a slot leaves (or stays in) the connection table.
-enum SlotFate {
-    Keep,
-    Closed,
-    Errored,
-}
-
-/// One reactor shard: accepts from its clone of the shared non-blocking
-/// listener and serves every accepted connection on this single thread
-/// through per-connection [`ConnMachine`]s. Counter semantics mirror the
-/// threaded backend exactly: idle keep-alive ticks survive, stalled
-/// partial frames and stuck writes error, slots reclaimed while serving
-/// count as reaped, and slots closed by shutdown count only as closed.
-fn reactor_shard_loop(
-    listener: TcpListener,
-    mut poll: Poll,
-    ctx: ConnContext,
-    clock: Arc<dyn Clock>,
-) {
-    let mut events = Events::new();
-    let mut conns: BTreeMap<usize, ConnSlot> = BTreeMap::new();
-    let mut next_token: usize = 0;
-    let timeout_us = ctx.read_timeout.as_micros().min(u64::MAX as u128) as u64;
-    'run: while !ctx.stop.load(Ordering::SeqCst) {
-        // Accept every pending connection. All shards share the
-        // non-blocking listener, so `WouldBlock` may just mean another
-        // shard got there first.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    ctx.metrics.connections_opened.inc();
-                    let token = Token(next_token);
-                    next_token = next_token.wrapping_add(1);
-                    if next_token == WAKE_TOKEN.0 {
-                        next_token = 0;
-                    }
-                    let prepared = stream
-                        .set_nonblocking(true)
-                        .and_then(|()| stream.set_nodelay(true))
-                        .and_then(|()| poll.register(&stream, token, Interest::READABLE));
-                    if prepared.is_err() {
-                        ctx.metrics.connections_errored.inc();
-                        continue;
-                    }
-                    ctx.metrics.connections_open.add(1);
-                    conns.insert(
-                        token.0,
-                        ConnSlot {
-                            stream,
-                            machine: ConnMachine::new(),
-                            memo: UaMemo::new(),
-                            last_activity: clock.now_micros(),
-                            interest: Interest::READABLE,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break 'run,
-            }
-        }
-
-        if poll.poll(&mut events, REACTOR_TICK).is_err() {
-            break 'run; // self-pipe broken: the shard cannot be woken safely
-        }
-        if ctx.stop.load(Ordering::SeqCst) {
-            break 'run;
-        }
-
-        let now = clock.now_micros();
-        let mut retired: Vec<(usize, SlotFate)> = Vec::new();
-        for event in events.iter() {
-            if event.token == WAKE_TOKEN {
-                continue;
-            }
-            let Some(slot) = conns.get_mut(&event.token.0) else {
-                continue;
-            };
-            match drive_slot(slot, event.readable, &ctx, now) {
-                SlotFate::Keep => {}
-                fate => retired.push((event.token.0, fate)),
-            }
-        }
-
-        // Idle / stall sweep — the reactor mirror of the threaded
-        // backend's read-timeout semantics: an idle keep-alive client
-        // survives (and is counted); a stalled partial frame or a write
-        // the peer will not drain fails the connection.
-        for (&token, slot) in conns.iter_mut() {
-            if now.saturating_sub(slot.last_activity) < timeout_us {
-                continue;
-            }
-            if slot.machine.has_partial_input() || slot.machine.wants_write() {
-                retired.push((token, SlotFate::Errored));
-            } else {
-                ctx.metrics.idle_timeouts.inc();
-                slot.last_activity = now;
-            }
-        }
-
-        for (token, fate) in retired {
-            // A slot can be nominated twice (event + sweep); the first
-            // removal wins.
-            if conns.remove(&token).is_none() {
-                continue;
-            }
-            poll.deregister(Token(token));
-            match fate {
-                SlotFate::Errored => ctx.metrics.connections_errored.inc(),
-                SlotFate::Closed | SlotFate::Keep => ctx.metrics.connections_closed.inc(),
-            }
-            ctx.metrics.connections_open.add(-1);
-            // Reclaimed while the shard kept serving — the reactor's
-            // analogue of the threaded backend's worker reap.
-            ctx.metrics.connections_reaped.inc();
-        }
-
-        // Re-arm interests to match what each surviving machine needs.
-        for (&token, slot) in conns.iter_mut() {
-            let desired = Interest {
-                readable: !slot.machine.saw_eof() && !slot.machine.close_requested(),
-                writable: slot.machine.wants_write(),
-            };
-            if desired != slot.interest && poll.reregister(Token(token), desired).is_ok() {
-                slot.interest = desired;
-            }
-        }
-    }
-
-    // Shutdown (or a fatal listener/self-pipe error): remaining
-    // connections close cleanly, exactly like threaded workers observing
-    // the stop flag. Not counted as reaped — `reaped` means reclaimed
-    // while the server kept running.
-    for _slot in conns.into_values() {
-        ctx.metrics.connections_closed.inc();
-        ctx.metrics.connections_open.add(-1);
-    }
-}
-
-/// Runs one readiness event's worth of work on a slot: non-blocking
-/// reads into the state machine, the shared batch path over whatever
-/// frames became complete, and a flush of queued output.
-fn drive_slot(slot: &mut ConnSlot, readable: bool, ctx: &ConnContext, now: u64) -> SlotFate {
-    let metrics = &ctx.metrics;
-    if readable && !slot.machine.saw_eof() && !slot.machine.close_requested() {
-        let target = drain_target(ctx);
-        let mut chunk = [0u8; 4096];
-        loop {
-            if slot.machine.frames_ready() >= target {
-                break;
-            }
-            match slot.stream.read(&mut chunk) {
-                Ok(0) => {
-                    slot.machine.on_eof();
-                    break;
-                }
-                Ok(n) => {
-                    metrics.bytes_read.add(n as u64);
-                    slot.machine.on_bytes(chunk.get(..n).unwrap_or_default());
-                    slot.last_activity = now;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return SlotFate::Errored,
-            }
-        }
-    }
-
-    // Process every complete frame now buffered, one batch cycle at a
-    // time — identical batch/shed accounting to the threaded backend.
-    while (slot.machine.frames_ready() > 0 || slot.machine.input_oversize())
-        && !slot.machine.close_requested()
-    {
-        let outcome = process_buffered(slot.machine.accumulator_mut(), &mut slot.memo, ctx);
-        slot.machine.queue_output(&outcome.out, outcome.close);
-        if outcome.close {
-            break;
-        }
-    }
-
-    // Flush whatever is queued; `WouldBlock` pauses and re-arms write
-    // interest, so a slow reader never blocks the shard.
-    if slot.machine.wants_write() {
-        let mut sink = &slot.stream;
-        match slot.machine.flush_into(&mut sink) {
-            Ok(progress) => {
-                if progress.wrote > 0 {
-                    slot.last_activity = now;
-                }
-            }
-            Err(_) => {
-                // A write failure after a close was requested matches the
-                // threaded path's best-effort final flush: a clean close.
-                return if slot.machine.close_requested() {
-                    SlotFate::Closed
-                } else {
-                    SlotFate::Errored
-                };
-            }
-        }
-    }
-
-    if slot.machine.should_close() {
-        return SlotFate::Closed;
-    }
-    if slot.machine.saw_eof() && !slot.machine.wants_write() && slot.machine.frames_ready() == 0 {
-        // Peer closed and everything answerable is answered — a clean
-        // close even mid-partial-frame, matching the threaded `Ok(0)`.
-        return SlotFate::Closed;
-    }
-    SlotFate::Keep
 }
 
 /// Decodes a submission frame and assesses it against the serving model.

@@ -9,18 +9,13 @@
 //! assessed under, `RiskServerHandle::swap_detector` bumps the epoch
 //! *after* the new detector is visible, and lookups from older epochs
 //! report `Stale` and re-assess (counted by `cache.stale_epoch`).
-//!
-//! Both scenarios run against both connection cores via
-//! `for_each_backend`: the cache layer sits behind the shared batch path,
-//! so the epoch guarantees must be backend-independent.
-
-mod common;
 
 use browser_engine::{UserAgent, Vendor};
-use common::for_each_backend;
 use fingerprint::{encode_submission, FeatureSet, Submission};
 use polygraph_core::{Detector, TrainConfig, TrainedModel, TrainingSet};
-use polygraph_service::server::{start_risk_server_with, RiskServerConfig, RiskServerHandle};
+use polygraph_service::server::{
+    start_risk_server, start_risk_server_with, RiskServerConfig, RiskServerHandle,
+};
 use polygraph_service::{ModelRegistry, Verdict, VerdictStatus};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -82,70 +77,66 @@ fn ask(addr: std::net::SocketAddr, session_tag: u8) -> Verdict {
     Verdict::decode(&buf).unwrap()
 }
 
-fn cached_server(base: RiskServerConfig) -> RiskServerHandle {
+fn cached_server() -> RiskServerHandle {
     let config = RiskServerConfig {
         cache_shards: 4,
         cache_capacity: 1024,
-        ..base
+        ..Default::default()
     };
     start_risk_server_with("127.0.0.1:0", Detector::new(model_v1()), config).unwrap()
 }
 
 #[test]
 fn cached_v1_verdict_never_survives_publish_and_swap_to_v2() {
-    for_each_backend(|config, backend| {
-        let server = cached_server(config);
-        let addr = server.local_addr();
-        assert_eq!(server.cache_epoch(), Some(0));
+    let server = cached_server();
+    let addr = server.local_addr();
+    assert_eq!(server.cache_epoch(), Some(0));
 
-        // Two asks under v1 from *different sessions*: the first misses and
-        // populates the cache, the second is answered from it.
-        let first = ask(addr, 1);
-        assert_eq!(first.status, VerdictStatus::Assessed);
-        assert!(!first.flagged, "v1 knows Chrome 60 at (0,0)");
-        let second = ask(addr, 2);
-        assert_eq!(second, first, "a cache hit returns the identical verdict");
-        let stats = server.stats();
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.assessed, 2, "a cached answer is still an assessment");
+    // Two asks under v1 from *different sessions*: the first misses and
+    // populates the cache, the second is answered from it.
+    let first = ask(addr, 1);
+    assert_eq!(first.status, VerdictStatus::Assessed);
+    assert!(!first.flagged, "v1 knows Chrome 60 at (0,0)");
+    let second = ask(addr, 2);
+    assert_eq!(second, first, "a cache hit returns the identical verdict");
+    let stats = server.stats();
+    assert_eq!(stats.cache_misses, 1);
+    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(stats.assessed, 2, "a cached answer is still an assessment");
 
-        // The orchestrator's rollout sequence: publish v2, swap it in.
-        let dir = std::env::temp_dir().join(format!(
-            "polygraph-cache-epoch-test-{}-{backend}",
-            std::process::id()
-        ));
-        let registry = ModelRegistry::open(&dir).unwrap();
-        let v2 = model_v2();
-        registry.publish(&v2).unwrap();
-        server.swap_detector(Detector::new(registry.load_latest().unwrap().unwrap()));
-        assert_eq!(server.cache_epoch(), Some(1), "swap bumps the epoch");
+    // The orchestrator's rollout sequence: publish v2, swap it in.
+    let dir =
+        std::env::temp_dir().join(format!("polygraph-cache-epoch-test-{}", std::process::id()));
+    let registry = ModelRegistry::open(&dir).unwrap();
+    let v2 = model_v2();
+    registry.publish(&v2).unwrap();
+    server.swap_detector(Detector::new(registry.load_latest().unwrap().unwrap()));
+    assert_eq!(server.cache_epoch(), Some(1), "swap bumps the epoch");
 
-        // The same (fingerprint, UA) pair must now be re-assessed under v2:
-        // the v1 entry is stale, not served.
-        let after = ask(addr, 3);
-        assert_eq!(after.status, VerdictStatus::Assessed);
-        assert!(after.flagged, "v2 says (0,0) is not Chrome 60 — flagged");
-        assert_ne!(
-            after.risk_factor, first.risk_factor,
-            "no stale v1 risk_factor may escape the cache after the swap"
-        );
-        let stats = server.stats();
-        assert_eq!(stats.cache_stale_epoch, 1, "the v1 entry was seen stale");
-        assert_eq!(stats.cache_misses, 2, "stale lookups count as misses");
-        assert_eq!(stats.cache_hits, 1, "no hit crossed the swap");
+    // The same (fingerprint, UA) pair must now be re-assessed under v2:
+    // the v1 entry is stale, not served.
+    let after = ask(addr, 3);
+    assert_eq!(after.status, VerdictStatus::Assessed);
+    assert!(after.flagged, "v2 says (0,0) is not Chrome 60 — flagged");
+    assert_ne!(
+        after.risk_factor, first.risk_factor,
+        "no stale v1 risk_factor may escape the cache after the swap"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.cache_stale_epoch, 1, "the v1 entry was seen stale");
+    assert_eq!(stats.cache_misses, 2, "stale lookups count as misses");
+    assert_eq!(stats.cache_hits, 1, "no hit crossed the swap");
 
-        // The re-assessment refreshed the entry at epoch 1: hits resume,
-        // serving the v2 verdict.
-        let refreshed = ask(addr, 4);
-        assert_eq!(refreshed, after);
-        let stats = server.stats();
-        assert_eq!(stats.cache_hits, 2);
-        assert_eq!(stats.cache_stale_epoch, 1);
+    // The re-assessment refreshed the entry at epoch 1: hits resume,
+    // serving the v2 verdict.
+    let refreshed = ask(addr, 4);
+    assert_eq!(refreshed, after);
+    let stats = server.stats();
+    assert_eq!(stats.cache_hits, 2);
+    assert_eq!(stats.cache_stale_epoch, 1);
 
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    });
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression: `cache.occupancy` must gauge *current-epoch* entries
@@ -180,63 +171,54 @@ fn occupancy_gauge_excludes_stale_epoch_slots_across_a_swap() {
         stream.read_exact(&mut buf).unwrap();
         Verdict::decode(&buf).unwrap()
     };
-    for_each_backend(|config, backend| {
-        let server = cached_server(config);
-        let addr = server.local_addr();
+    let server = cached_server();
+    let addr = server.local_addr();
 
-        // One key cached under v1 (a second session hits it): one live
-        // entry on the gauge.
-        ask(addr, 1);
-        ask(addr, 2);
-        assert_eq!(occupancy(&server), 1, "[{backend}] one v1 entry live");
+    // One key cached under v1 (a second session hits it): one live
+    // entry on the gauge.
+    ask(addr, 1);
+    ask(addr, 2);
+    assert_eq!(occupancy(&server), 1, "one v1 entry live");
 
-        // Swap to v2, then cache a *different* key. The v1 slot stays
-        // resident (stale, awaiting sweep) — only the v2 entry is live.
-        server.swap_detector(Detector::new(model_v2()));
-        ask_honest_chrome100(addr, 3);
-        assert_eq!(
-            occupancy(&server),
-            1,
-            "[{backend}] the stale v1 slot must not be gauged as occupancy"
-        );
+    // Swap to v2, then cache a *different* key. The v1 slot stays
+    // resident (stale, awaiting sweep) — only the v2 entry is live.
+    server.swap_detector(Detector::new(model_v2()));
+    ask_honest_chrome100(addr, 3);
+    assert_eq!(
+        occupancy(&server),
+        1,
+        "the stale v1 slot must not be gauged as occupancy"
+    );
 
-        // Re-asking the first key refreshes it at the new epoch: now two
-        // entries are genuinely live.
-        ask(addr, 4);
-        assert_eq!(
-            occupancy(&server),
-            2,
-            "[{backend}] refreshed entries count again"
-        );
-        let stats = server.stats();
-        assert_eq!(stats.cache_stale_epoch, 1, "[{backend}] v1 slot seen stale");
-        server.shutdown();
-    });
+    // Re-asking the first key refreshes it at the new epoch: now two
+    // entries are genuinely live.
+    ask(addr, 4);
+    assert_eq!(occupancy(&server), 2, "refreshed entries count again");
+    let stats = server.stats();
+    assert_eq!(stats.cache_stale_epoch, 1, "v1 slot seen stale");
+    server.shutdown();
 }
 
 #[test]
 fn disabled_cache_reports_nothing_and_swap_is_unaffected() {
-    for_each_backend(|config, backend| {
-        // cache_capacity 0 (the default): no cache metrics, no epoch, and
-        // repeated identical submissions are all assessed by the detector.
-        let server =
-            start_risk_server_with("127.0.0.1:0", Detector::new(model_v1()), config).unwrap();
-        let addr = server.local_addr();
-        assert_eq!(server.cache_epoch(), None);
-        for tag in 0..3 {
-            assert!(!ask(addr, tag).flagged);
-        }
-        server.swap_detector(Detector::new(model_v2()));
-        assert!(ask(addr, 9).flagged);
-        let stats = server.stats();
-        assert_eq!(stats.assessed, 4);
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.cache_misses, 0);
-        let snapshot = server.snapshot();
-        assert!(
-            !snapshot.counters.keys().any(|k| k.starts_with("cache.")),
-            "[{backend}] a disabled cache must not register metrics (exposition golden)"
-        );
-        server.shutdown();
-    });
+    // cache_capacity 0 (the default): no cache metrics, no epoch, and
+    // repeated identical submissions are all assessed by the detector.
+    let server = start_risk_server("127.0.0.1:0", Detector::new(model_v1())).unwrap();
+    let addr = server.local_addr();
+    assert_eq!(server.cache_epoch(), None);
+    for tag in 0..3 {
+        assert!(!ask(addr, tag).flagged);
+    }
+    server.swap_detector(Detector::new(model_v2()));
+    assert!(ask(addr, 9).flagged);
+    let stats = server.stats();
+    assert_eq!(stats.assessed, 4);
+    assert_eq!(stats.cache_hits, 0);
+    assert_eq!(stats.cache_misses, 0);
+    let snapshot = server.snapshot();
+    assert!(
+        !snapshot.counters.keys().any(|k| k.starts_with("cache.")),
+        "a disabled cache must not register metrics (exposition golden)"
+    );
+    server.shutdown();
 }

@@ -17,21 +17,18 @@
 //!
 //! Every test is seeded (`FaultPlan` seeds, `retry_seed`s) so a failure
 //! reproduces from the log line alone. The proxy-backed tests run against
-//! both connection cores via `for_each_backend`; the three hand-rolled
-//! fake-server tests exercise only the client and stay unparametrized.
-
-mod common;
+//! a real risk server; the three hand-rolled fake-server tests exercise
+//! only the client.
 
 use browser_engine::{UserAgent, Vendor};
-use common::for_each_backend;
 use fingerprint::{FeatureSet, Submission};
 use polygraph_core::{Detector, TrainConfig, TrainedModel, TrainingSet};
 use polygraph_obs::Registry;
 use polygraph_service::client::metric_names;
 use polygraph_service::proto::VERDICT_LEN;
 use polygraph_service::{
-    start_chaos_proxy, start_risk_server_with, FaultConfig, FaultPlan, RiskClient,
-    RiskClientConfig, Verdict, VerdictStatus,
+    start_chaos_proxy, start_risk_server, start_risk_server_with, FaultConfig, FaultPlan,
+    RiskClient, RiskClientConfig, Verdict, VerdictStatus,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -363,89 +360,77 @@ fn exhausted_retries_are_an_accounted_error() {
 /// server: framing reassembles both and every verdict is correct.
 #[test]
 fn split_and_dripped_frames_still_parse_to_correct_verdicts() {
-    for_each_backend(|config, backend| {
-        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
-        let c2s = FaultConfig {
-            split_per_mille: 1000, // split every chunk
-            delay: Duration::from_millis(2),
-            ..FaultConfig::none()
-        };
-        let s2c = FaultConfig {
-            drip_per_mille: 1000, // drip every chunk byte-by-byte
-            drip_step: Duration::from_millis(1),
-            ..FaultConfig::none()
-        };
-        let proxy =
-            start_chaos_proxy(server.local_addr(), FaultPlan::directional(11, c2s, s2c)).unwrap();
+    let server = start_risk_server("127.0.0.1:0", tiny_detector()).unwrap();
+    let c2s = FaultConfig {
+        split_per_mille: 1000, // split every chunk
+        delay: Duration::from_millis(2),
+        ..FaultConfig::none()
+    };
+    let s2c = FaultConfig {
+        drip_per_mille: 1000, // drip every chunk byte-by-byte
+        drip_step: Duration::from_millis(1),
+        ..FaultConfig::none()
+    };
+    let proxy =
+        start_chaos_proxy(server.local_addr(), FaultPlan::directional(11, c2s, s2c)).unwrap();
 
-        let mut client = RiskClient::connect_with_config(
-            proxy.local_addr(),
-            Arc::new(Registry::monotonic()),
-            fast_retry_config(0, Duration::from_secs(5)),
-        )
-        .unwrap();
-        for i in 0..8u8 {
-            let (sub, expect_flagged) = if i % 2 == 0 {
-                (honest_submission(i), false)
-            } else {
-                (lying_submission(i), true)
-            };
-            let v = client.assess_submission(&sub).unwrap();
-            assert_eq!(
-                v.status,
-                VerdictStatus::Assessed,
-                "[{backend}] submission {i}"
-            );
-            assert_eq!(v.flagged, expect_flagged, "[{backend}] submission {i}");
-        }
-        assert_eq!(counter(&client, metric_names::ERRORS), 0, "[{backend}]");
-        assert_eq!(counter(&client, metric_names::RETRIES), 0, "[{backend}]");
-        drop(client);
-        proxy.shutdown();
-        server.shutdown();
-    });
+    let mut client = RiskClient::connect_with_config(
+        proxy.local_addr(),
+        Arc::new(Registry::monotonic()),
+        fast_retry_config(0, Duration::from_secs(5)),
+    )
+    .unwrap();
+    for i in 0..8u8 {
+        let (sub, expect_flagged) = if i % 2 == 0 {
+            (honest_submission(i), false)
+        } else {
+            (lying_submission(i), true)
+        };
+        let v = client.assess_submission(&sub).unwrap();
+        assert_eq!(v.status, VerdictStatus::Assessed, "submission {i}");
+        assert_eq!(v.flagged, expect_flagged, "submission {i}");
+    }
+    assert_eq!(counter(&client, metric_names::ERRORS), 0);
+    assert_eq!(counter(&client, metric_names::RETRIES), 0);
+    drop(client);
+    proxy.shutdown();
+    server.shutdown();
 }
 
 /// A delayed (but in-deadline) `STATS` response: the multi-read stats
 /// exchange survives its header and body arriving late and in pieces.
 #[test]
 fn delayed_stats_response_within_deadline_succeeds() {
-    for_each_backend(|config, backend| {
-        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
-        let s2c = FaultConfig {
-            delay_per_mille: 1000,
-            delay: Duration::from_millis(40),
-            split_per_mille: 0,
-            ..FaultConfig::none()
-        };
-        let proxy = start_chaos_proxy(
-            server.local_addr(),
-            FaultPlan::directional(23, FaultConfig::none(), s2c),
-        )
-        .unwrap();
+    let server = start_risk_server("127.0.0.1:0", tiny_detector()).unwrap();
+    let s2c = FaultConfig {
+        delay_per_mille: 1000,
+        delay: Duration::from_millis(40),
+        split_per_mille: 0,
+        ..FaultConfig::none()
+    };
+    let proxy = start_chaos_proxy(
+        server.local_addr(),
+        FaultPlan::directional(23, FaultConfig::none(), s2c),
+    )
+    .unwrap();
 
-        let mut client = RiskClient::connect_with_config(
-            proxy.local_addr(),
-            Arc::new(Registry::monotonic()),
-            fast_retry_config(1, Duration::from_secs(5)),
-        )
-        .unwrap();
-        client.assess_submission(&honest_submission(9)).unwrap();
-        let snap = client.fetch_stats().unwrap();
-        assert_eq!(
-            snap.counters
-                .get(polygraph_service::server::metric_names::ASSESSED),
-            Some(&1)
-        );
-        assert_eq!(
-            counter(&client, metric_names::STATS_ERRORS),
-            0,
-            "[{backend}]"
-        );
-        drop(client);
-        proxy.shutdown();
-        server.shutdown();
-    });
+    let mut client = RiskClient::connect_with_config(
+        proxy.local_addr(),
+        Arc::new(Registry::monotonic()),
+        fast_retry_config(1, Duration::from_secs(5)),
+    )
+    .unwrap();
+    client.assess_submission(&honest_submission(9)).unwrap();
+    let snap = client.fetch_stats().unwrap();
+    assert_eq!(
+        snap.counters
+            .get(polygraph_service::server::metric_names::ASSESSED),
+        Some(&1)
+    );
+    assert_eq!(counter(&client, metric_names::STATS_ERRORS), 0);
+    drop(client);
+    proxy.shutdown();
+    server.shutdown();
 }
 
 /// The full seeded chaos run: every fault class enabled at once against a
@@ -460,82 +445,80 @@ fn delayed_stats_response_within_deadline_succeeds() {
 /// and the books balance: `round_trip.count + errors == requests`.
 #[test]
 fn seeded_chaos_run_yields_zero_garbage_verdicts() {
-    for_each_backend(|config, backend| {
-        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
-        let faults = FaultConfig {
-            reset_per_mille: 60,
-            stall_per_mille: 40,
-            stall: Duration::from_millis(350), // > request_timeout: forces poison path
-            drip_per_mille: 30,
-            drip_step: Duration::from_millis(1),
-            split_per_mille: 150,
-            delay_per_mille: 100,
-            delay: Duration::from_millis(10),
+    let server = start_risk_server("127.0.0.1:0", tiny_detector()).unwrap();
+    let faults = FaultConfig {
+        reset_per_mille: 60,
+        stall_per_mille: 40,
+        stall: Duration::from_millis(350), // > request_timeout: forces poison path
+        drip_per_mille: 30,
+        drip_step: Duration::from_millis(1),
+        split_per_mille: 150,
+        delay_per_mille: 100,
+        delay: Duration::from_millis(10),
+    };
+    let proxy = start_chaos_proxy(
+        server.local_addr(),
+        FaultPlan::symmetric(CHAOS_SEED, faults),
+    )
+    .unwrap();
+
+    let mut client = RiskClient::connect_with_config(
+        proxy.local_addr(),
+        Arc::new(Registry::monotonic()),
+        fast_retry_config(3, Duration::from_millis(200)),
+    )
+    .unwrap();
+
+    let total = 60u32;
+    let mut assessed = 0u32;
+    let mut degraded = 0u32;
+    let mut failed = 0u32;
+    for i in 0..total {
+        let tag = (i % 251) as u8;
+        let (sub, expect_flagged) = if i % 2 == 0 {
+            (honest_submission(tag), false)
+        } else {
+            (lying_submission(tag), true)
         };
-        let proxy = start_chaos_proxy(
-            server.local_addr(),
-            FaultPlan::symmetric(CHAOS_SEED, faults),
-        )
-        .unwrap();
-
-        let mut client = RiskClient::connect_with_config(
-            proxy.local_addr(),
-            Arc::new(Registry::monotonic()),
-            fast_retry_config(3, Duration::from_millis(200)),
-        )
-        .unwrap();
-
-        let total = 60u32;
-        let mut assessed = 0u32;
-        let mut degraded = 0u32;
-        let mut failed = 0u32;
-        for i in 0..total {
-            let tag = (i % 251) as u8;
-            let (sub, expect_flagged) = if i % 2 == 0 {
-                (honest_submission(tag), false)
-            } else {
-                (lying_submission(tag), true)
-            };
-            match client.assess_submission(&sub) {
-                Ok(v) => match v.status {
-                    VerdictStatus::Assessed => {
-                        // THE invariant: a verdict that claims to assess this
-                        // submission must carry this submission's answer. Any
-                        // cross-wired response (stale bytes, torn frame
-                        // resync) shows up here as a flag mismatch.
-                        assert_eq!(
-                            v.flagged, expect_flagged,
-                            "[{backend}] garbage verdict for submission {i} (seed {CHAOS_SEED:#x})"
-                        );
-                        assessed += 1;
-                    }
-                    VerdictStatus::Degraded => degraded += 1,
-                    other => panic!("submission {i}: unexpected status {other:?}"),
-                },
-                Err(_) => failed += 1,
-            }
+        match client.assess_submission(&sub) {
+            Ok(v) => match v.status {
+                VerdictStatus::Assessed => {
+                    // THE invariant: a verdict that claims to assess this
+                    // submission must carry this submission's answer. Any
+                    // cross-wired response (stale bytes, torn frame
+                    // resync) shows up here as a flag mismatch.
+                    assert_eq!(
+                        v.flagged, expect_flagged,
+                        "garbage verdict for submission {i} (seed {CHAOS_SEED:#x})"
+                    );
+                    assessed += 1;
+                }
+                VerdictStatus::Degraded => degraded += 1,
+                other => panic!("submission {i}: unexpected status {other:?}"),
+            },
+            Err(_) => failed += 1,
         }
+    }
 
-        assert_eq!(assessed + degraded + failed, total, "[{backend}]");
-        assert!(
+    assert_eq!(assessed + degraded + failed, total);
+    assert!(
         assessed > total / 2,
-        "[{backend}] retries should carry most submissions through (assessed {assessed}/{total})"
+        "retries should carry most submissions through (assessed {assessed}/{total})"
     );
 
-        let requests = counter(&client, metric_names::REQUESTS);
-        let errors = counter(&client, metric_names::ERRORS);
-        assert_eq!(requests, u64::from(total), "[{backend}]");
-        assert_eq!(errors, u64::from(failed), "[{backend}]");
-        assert_eq!(
-            round_trip_count(&client) + errors,
-            requests,
-            "[{backend}] the latency histogram counts completed round trips only"
-        );
+    let requests = counter(&client, metric_names::REQUESTS);
+    let errors = counter(&client, metric_names::ERRORS);
+    assert_eq!(requests, u64::from(total));
+    assert_eq!(errors, u64::from(failed));
+    assert_eq!(
+        round_trip_count(&client) + errors,
+        requests,
+        "the latency histogram counts completed round trips only"
+    );
 
-        drop(client);
-        proxy.shutdown();
-        server.shutdown();
-    });
+    drop(client);
+    proxy.shutdown();
+    server.shutdown();
 }
 
 /// The seeded chaos run again, at a high duplicate ratio with the
@@ -554,95 +537,90 @@ fn seeded_chaos_run_yields_zero_garbage_verdicts() {
 ///   asserted in full).
 #[test]
 fn seeded_chaos_run_with_cache_keeps_books_balanced() {
-    for_each_backend(|config, backend| {
-        let config = polygraph_service::RiskServerConfig {
-            cache_shards: 4,
-            cache_capacity: 256,
-            ..config
-        };
-        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
-        let faults = FaultConfig {
-            reset_per_mille: 60,
-            stall_per_mille: 40,
-            stall: Duration::from_millis(350),
-            drip_per_mille: 30,
-            drip_step: Duration::from_millis(1),
-            split_per_mille: 150,
-            delay_per_mille: 100,
-            delay: Duration::from_millis(10),
-        };
-        let proxy = start_chaos_proxy(
-            server.local_addr(),
-            FaultPlan::symmetric(CHAOS_SEED, faults),
-        )
-        .unwrap();
+    let config = polygraph_service::RiskServerConfig {
+        cache_shards: 4,
+        cache_capacity: 256,
+        ..Default::default()
+    };
+    let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
+    let faults = FaultConfig {
+        reset_per_mille: 60,
+        stall_per_mille: 40,
+        stall: Duration::from_millis(350),
+        drip_per_mille: 30,
+        drip_step: Duration::from_millis(1),
+        split_per_mille: 150,
+        delay_per_mille: 100,
+        delay: Duration::from_millis(10),
+    };
+    let proxy = start_chaos_proxy(
+        server.local_addr(),
+        FaultPlan::symmetric(CHAOS_SEED, faults),
+    )
+    .unwrap();
 
-        let mut client = RiskClient::connect_with_config(
-            proxy.local_addr(),
-            Arc::new(Registry::monotonic()),
-            fast_retry_config(3, Duration::from_millis(200)),
-        )
-        .unwrap();
+    let mut client = RiskClient::connect_with_config(
+        proxy.local_addr(),
+        Arc::new(Registry::monotonic()),
+        fast_retry_config(3, Duration::from_millis(200)),
+    )
+    .unwrap();
 
-        let total = 60u32;
-        let mut assessed_ok = 0u32;
-        let mut degraded = 0u32;
-        let mut failed = 0u32;
-        for i in 0..total {
-            let tag = (i % 251) as u8;
-            let (sub, expect_flagged) = if i % 2 == 0 {
-                (honest_submission(tag), false)
-            } else {
-                (lying_submission(tag), true)
-            };
-            match client.assess_submission(&sub) {
-                Ok(v) => match v.status {
-                    VerdictStatus::Assessed => {
-                        assert_eq!(
+    let total = 60u32;
+    let mut assessed_ok = 0u32;
+    let mut degraded = 0u32;
+    let mut failed = 0u32;
+    for i in 0..total {
+        let tag = (i % 251) as u8;
+        let (sub, expect_flagged) = if i % 2 == 0 {
+            (honest_submission(tag), false)
+        } else {
+            (lying_submission(tag), true)
+        };
+        match client.assess_submission(&sub) {
+            Ok(v) => match v.status {
+                VerdictStatus::Assessed => {
+                    assert_eq!(
                         v.flagged, expect_flagged,
-                        "[{backend}] garbage verdict for submission {i} (seed {CHAOS_SEED:#x}): \
-                         a cache hit answered with the wrong pair's verdict"
+                        "garbage verdict for submission {i} (seed {CHAOS_SEED:#x}): \
+                     a cache hit answered with the wrong pair's verdict"
                     );
-                        assessed_ok += 1;
-                    }
-                    VerdictStatus::Degraded => degraded += 1,
-                    other => panic!("submission {i}: unexpected status {other:?}"),
-                },
-                Err(_) => failed += 1,
-            }
+                    assessed_ok += 1;
+                }
+                VerdictStatus::Degraded => degraded += 1,
+                other => panic!("submission {i}: unexpected status {other:?}"),
+            },
+            Err(_) => failed += 1,
         }
-        assert_eq!(assessed_ok + degraded + failed, total, "[{backend}]");
-        assert!(
+    }
+    assert_eq!(assessed_ok + degraded + failed, total);
+    assert!(
         assessed_ok > total / 2,
-        "[{backend}] retries should carry most submissions through (assessed {assessed_ok}/{total})"
+        "retries should carry most submissions through (assessed {assessed_ok}/{total})"
     );
 
-        drop(client);
-        proxy.shutdown();
-        let stats = server.stats();
-        server.shutdown();
+    drop(client);
+    proxy.shutdown();
+    let stats = server.stats();
+    server.shutdown();
 
-        // Two distinct (fingerprint, UA) pairs in the whole run: after the
-        // two cold misses (plus any misses retried across a detector-free
-        // moment), everything is a hit.
-        assert!(
-            stats.cache_hits > 0,
-            "[{backend}] a 0.97 duplicate ratio must hit"
-        );
-        assert!(
-            stats.cache_misses >= 2,
-            "[{backend}] both distinct pairs miss cold at least once"
-        );
-        assert_eq!(stats.cache_stale_epoch, 0, "[{backend}] no swap happened");
-        assert_eq!(
-            stats.cache_hits + stats.cache_misses,
-            stats.assessed + stats.malformed + stats.cache_shed_exempt,
-            "[{backend}] cache books must balance: every normal-path submission frame \
-         is exactly one hit or one miss (seed {CHAOS_SEED:#x})"
-        );
-        assert!(
-            stats.assessed >= u64::from(assessed_ok),
-            "[{backend}] server-side assessments include replies lost to faults"
-        );
-    });
+    // Two distinct (fingerprint, UA) pairs in the whole run: after the
+    // two cold misses (plus any misses retried across a detector-free
+    // moment), everything is a hit.
+    assert!(stats.cache_hits > 0, "a 0.97 duplicate ratio must hit");
+    assert!(
+        stats.cache_misses >= 2,
+        "both distinct pairs miss cold at least once"
+    );
+    assert_eq!(stats.cache_stale_epoch, 0, "no swap happened");
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        stats.assessed + stats.malformed + stats.cache_shed_exempt,
+        "cache books must balance: every normal-path submission frame \
+     is exactly one hit or one miss (seed {CHAOS_SEED:#x})"
+    );
+    assert!(
+        stats.assessed >= u64::from(assessed_ok),
+        "server-side assessments include replies lost to faults"
+    );
 }

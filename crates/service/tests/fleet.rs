@@ -7,10 +7,7 @@
 //! a model being rolled out canary → 50% → full is never allowed to
 //! answer on a node the rollout has not reached.
 
-mod common;
-
 use browser_engine::{UserAgent, Vendor};
-use common::for_each_backend;
 use fingerprint::{encode_submission, submission_cache_key, FeatureSet, Submission};
 use polygraph_core::{TrainConfig, TrainedModel, TrainingSet};
 use polygraph_service::fleet::metric_names as fleet_metrics;
@@ -83,11 +80,11 @@ fn fleet_client_config() -> RiskClientConfig {
     }
 }
 
-fn cached_node_config(base: RiskServerConfig) -> RiskServerConfig {
+fn cached_node_config() -> RiskServerConfig {
     RiskServerConfig {
         cache_shards: 4,
         cache_capacity: 1024,
-        ..base
+        ..Default::default()
     }
 }
 
@@ -110,51 +107,49 @@ fn assert_books_balanced(fleet: &RiskFleet, node: usize, context: &str) {
 }
 
 /// The fleet is observably one server: replaying the identical storm
-/// through 1-, 2-, and 3-node fleets (both connection backends) yields
-/// byte-identical verdicts frame for frame.
+/// through 1-, 2-, and 3-node fleets yields byte-identical verdicts
+/// frame for frame.
 #[test]
 fn merged_verdict_stream_is_identical_across_node_counts() {
     const FRAMES: u64 = 200;
-    for_each_backend(|config, backend| {
-        let model = tiny_model();
-        let mut streams: Vec<Vec<[u8; 8]>> = Vec::new();
-        for nodes in [1usize, 2, 3] {
-            let fleet = RiskFleet::start(
-                &model,
-                FleetConfig {
-                    nodes,
-                    node: cached_node_config(config.clone()),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut client = FleetClient::connect(&fleet, fleet_client_config());
-            let mut verdicts = Vec::with_capacity(FRAMES as usize);
-            for j in 0..FRAMES {
-                let (sub, expect_flagged) = storm_submission(j);
-                let v = client.assess_submission(&sub).unwrap();
-                assert_eq!(v.status, VerdictStatus::Assessed);
-                assert_eq!(
-                    v.flagged, expect_flagged,
-                    "[{backend}] wrong verdict at frame {j} on {nodes} nodes"
-                );
-                verdicts.push(v.encode());
-            }
-            for node in 0..fleet.node_count() {
-                assert_books_balanced(&fleet, node, backend);
-            }
-            streams.push(verdicts);
-            drop(client);
-            fleet.shutdown();
-        }
-        let first = streams.first().unwrap();
-        for (i, stream) in streams.iter().enumerate() {
+    let model = tiny_model();
+    let mut streams: Vec<Vec<[u8; 8]>> = Vec::new();
+    for nodes in [1usize, 2, 3] {
+        let fleet = RiskFleet::start(
+            &model,
+            FleetConfig {
+                nodes,
+                node: cached_node_config(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut client = FleetClient::connect(&fleet, fleet_client_config());
+        let mut verdicts = Vec::with_capacity(FRAMES as usize);
+        for j in 0..FRAMES {
+            let (sub, expect_flagged) = storm_submission(j);
+            let v = client.assess_submission(&sub).unwrap();
+            assert_eq!(v.status, VerdictStatus::Assessed);
             assert_eq!(
-                stream, first,
-                "[{backend}] merged stream at node-count leg {i} diverged"
+                v.flagged, expect_flagged,
+                "wrong verdict at frame {j} on {nodes} nodes"
             );
+            verdicts.push(v.encode());
         }
-    });
+        for node in 0..fleet.node_count() {
+            assert_books_balanced(&fleet, node, &format!("{nodes} nodes"));
+        }
+        streams.push(verdicts);
+        drop(client);
+        fleet.shutdown();
+    }
+    let first = streams.first().unwrap();
+    for (i, stream) in streams.iter().enumerate() {
+        assert_eq!(
+            stream, first,
+            "merged stream at node-count leg {i} diverged"
+        );
+    }
 }
 
 /// Satellite: seeded storm with one node killed at each rollout stage.
@@ -180,7 +175,7 @@ fn storm_with_a_node_killed_at_each_rollout_stage_keeps_books_balanced() {
             &model,
             FleetConfig {
                 nodes: NODES,
-                node: cached_node_config(RiskServerConfig::default()),
+                node: cached_node_config(),
                 ..Default::default()
             },
         )
@@ -422,7 +417,7 @@ fn stalled_node_fails_over_along_the_ring() {
         &model,
         FleetConfig {
             nodes: 2,
-            node: cached_node_config(RiskServerConfig::default()),
+            node: cached_node_config(),
             ..Default::default()
         },
     )

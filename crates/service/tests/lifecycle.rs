@@ -1,24 +1,18 @@
-//! Regression tests for the risk server's connection lifecycle, run
-//! against **both** connection cores via `for_each_backend`:
+//! Regression tests for the risk server's connection lifecycle:
 //!
-//! * finished connections are reaped while the server runs (not only at
-//!   shutdown) — worker joins on the threaded core, slot removal on the
-//!   reactor;
+//! * finished connections are reaped (worker threads joined) while the
+//!   server runs, not only at shutdown;
 //! * an idle keep-alive client survives read-timeout ticks, while a
 //!   stalled partial frame does not;
-//! * shutdown is bounded even with a connected-but-silent client;
-//! * the reactor's self-pipe wakeup decouples shutdown latency from the
-//!   read timeout entirely: even a multi-second timeout shuts down
-//!   within one poll cycle.
-
-mod common;
+//! * shutdown is bounded even with a connected-but-silent client.
 
 use browser_engine::{UserAgent, Vendor};
-use common::for_each_backend;
 use fingerprint::{encode_submission, FeatureSet, Submission};
 use polygraph_core::{Detector, TrainConfig, TrainedModel, TrainingSet};
-use polygraph_service::server::{start_risk_server_with, RiskServerConfig, RiskServerHandle};
-use polygraph_service::{ServerBackend, Verdict, VerdictStatus};
+use polygraph_service::server::{
+    start_risk_server, start_risk_server_with, RiskServerConfig, RiskServerHandle,
+};
+use polygraph_service::{Verdict, VerdictStatus};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -89,165 +83,119 @@ fn wait_for(
 
 #[test]
 fn finished_connections_are_reaped_while_serving() {
-    for_each_backend(|config, backend| {
-        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
+    let server = start_risk_server("127.0.0.1:0", tiny_detector()).unwrap();
 
-        // Open, use, and close a few connections sequentially.
-        for _ in 0..3 {
-            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-            stream.set_nodelay(true).unwrap();
-            send_frame(&mut stream, &honest_frame());
-            assert_eq!(
-                read_verdict(&mut stream).status,
-                VerdictStatus::Assessed,
-                "[{backend}]"
-            );
-            drop(stream);
-        }
+    // Open, use, and close a few connections sequentially.
+    for _ in 0..3 {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        send_frame(&mut stream, &honest_frame());
+        assert_eq!(read_verdict(&mut stream).status, VerdictStatus::Assessed);
+        drop(stream);
+    }
 
-        // The server must reclaim each finished connection while it keeps
-        // running — worker joins (threaded) or slot removal (reactor) —
-        // observable through the reap counter, which final shutdown joins
-        // deliberately do not touch.
-        wait_for(
-            &server,
-            Duration::from_secs(5),
-            |reaped| reaped >= 3,
-            |s| s.stats().connections_reaped,
-        );
-        let stats = server.stats();
-        assert_eq!(stats.connections_opened, 3, "[{backend}]");
-        assert_eq!(stats.connections_closed, 3, "[{backend}]");
-        assert_eq!(stats.connections_errored, 0, "[{backend}]");
-        assert_eq!(
-            stats.connections_open, 0,
-            "[{backend}] every retired connection must release the gauge"
-        );
-        server.shutdown();
-    });
+    // The server must join each finished worker while it keeps running,
+    // observable through the reap counter, which final shutdown joins
+    // deliberately do not touch.
+    wait_for(
+        &server,
+        Duration::from_secs(5),
+        |reaped| reaped >= 3,
+        |s| s.stats().connections_reaped,
+    );
+    let stats = server.stats();
+    assert_eq!(stats.connections_opened, 3);
+    assert_eq!(stats.connections_closed, 3);
+    assert_eq!(stats.connections_errored, 0);
+    assert_eq!(
+        stats.connections_open, 0,
+        "every retired connection must release the gauge"
+    );
+    server.shutdown();
 }
 
 #[test]
 fn idle_keepalive_client_survives_read_timeouts() {
-    for_each_backend(|config, backend| {
-        let config = RiskServerConfig {
-            read_timeout: Duration::from_millis(100),
-            ..config
-        };
-        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+    let config = RiskServerConfig {
+        read_timeout: Duration::from_millis(100),
+        ..Default::default()
+    };
+    let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
 
-        // Stay silent for several read-timeout ticks, then submit. Before
-        // the fix the first tick returned Err and killed the connection.
-        std::thread::sleep(Duration::from_millis(350));
-        send_frame(&mut stream, &honest_frame());
-        assert_eq!(
-            read_verdict(&mut stream).status,
-            VerdictStatus::Assessed,
-            "[{backend}] the idle connection must still be alive after several timeouts"
-        );
-        let stats = server.stats();
-        assert!(
-            stats.idle_timeouts >= 1,
-            "[{backend}] idle ticks must be counted, got {}",
-            stats.idle_timeouts
-        );
-        assert_eq!(stats.connections_errored, 0, "[{backend}]");
-        drop(stream);
-        server.shutdown();
-    });
+    // Stay silent for several read-timeout ticks, then submit. Before
+    // the fix the first tick returned Err and killed the connection.
+    std::thread::sleep(Duration::from_millis(350));
+    send_frame(&mut stream, &honest_frame());
+    assert_eq!(
+        read_verdict(&mut stream).status,
+        VerdictStatus::Assessed,
+        "the idle connection must still be alive after several timeouts"
+    );
+    let stats = server.stats();
+    assert!(
+        stats.idle_timeouts >= 1,
+        "idle ticks must be counted, got {}",
+        stats.idle_timeouts
+    );
+    assert_eq!(stats.connections_errored, 0);
+    drop(stream);
+    server.shutdown();
 }
 
 #[test]
 fn stalled_partial_frame_fails_the_connection() {
-    for_each_backend(|config, backend| {
-        let config = RiskServerConfig {
-            read_timeout: Duration::from_millis(100),
-            ..config
-        };
-        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
+    let config = RiskServerConfig {
+        read_timeout: Duration::from_millis(100),
+        ..Default::default()
+    };
+    let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
 
-        // Declare a 100-byte body but send only 3 bytes, then stall:
-        // unlike pure idleness, a half-delivered frame past the timeout
-        // is fatal.
-        stream.write_all(&100u16.to_le_bytes()).unwrap();
-        stream.write_all(&[1, 2, 3]).unwrap();
-        wait_for(
-            &server,
-            Duration::from_secs(5),
-            |errored| errored >= 1,
-            |s| s.stats().connections_errored,
-        );
-        assert_eq!(
-            server.stats().connections_open,
-            0,
-            "[{backend}] the errored connection must release the gauge"
-        );
-        drop(stream);
-        server.shutdown();
-    });
+    // Declare a 100-byte body but send only 3 bytes, then stall:
+    // unlike pure idleness, a half-delivered frame past the timeout
+    // is fatal.
+    stream.write_all(&100u16.to_le_bytes()).unwrap();
+    stream.write_all(&[1, 2, 3]).unwrap();
+    wait_for(
+        &server,
+        Duration::from_secs(5),
+        |errored| errored >= 1,
+        |s| s.stats().connections_errored,
+    );
+    assert_eq!(
+        server.stats().connections_open,
+        0,
+        "the errored connection must release the gauge"
+    );
+    drop(stream);
+    server.shutdown();
 }
 
 #[test]
 fn shutdown_is_bounded_with_silent_connected_client() {
-    for_each_backend(|config, backend| {
-        let config = RiskServerConfig {
-            read_timeout: Duration::from_millis(200),
-            ..config
-        };
-        let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
-
-        // A connected client that never sends a byte. Threaded workers
-        // notice the stop flag within one read-timeout tick; reactor
-        // shards are woken through the self-pipe.
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        std::thread::sleep(Duration::from_millis(50)); // let the accept land
-
-        let start = Instant::now();
-        server.shutdown();
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "[{backend}] shutdown must be bounded by ~one read-timeout tick, took {elapsed:?}"
-        );
-        drop(stream);
-    });
-}
-
-/// The self-pipe wakeup fix, pinned: with a read timeout of ten seconds —
-/// long enough that any tick-coupled shutdown would blow the assertion —
-/// the reactor still shuts down within one poll cycle, because
-/// `shutdown()` fires each shard's waker and the poll returns
-/// immediately instead of waiting out its timeout (let alone the read
-/// timeout a pre-fix acceptor tick was coupled to).
-#[test]
-fn reactor_shutdown_completes_within_one_poll_cycle() {
     let config = RiskServerConfig {
-        read_timeout: Duration::from_secs(10),
-        backend: ServerBackend::Reactor,
+        read_timeout: Duration::from_millis(200),
         ..Default::default()
     };
     let server = start_risk_server_with("127.0.0.1:0", tiny_detector(), config).unwrap();
 
-    // A connected, mid-frame-stalled client: the worst case for any
-    // timeout-coupled teardown path.
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.write_all(&100u16.to_le_bytes()).unwrap();
-    std::thread::sleep(Duration::from_millis(100)); // let accept + read land
+    // A connected client that never sends a byte. Its worker notices
+    // the stop flag within one read-timeout tick.
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    std::thread::sleep(Duration::from_millis(50)); // let the accept land
 
     let start = Instant::now();
     server.shutdown();
     let elapsed = start.elapsed();
     assert!(
-        elapsed < Duration::from_millis(500),
-        "reactor shutdown must be decoupled from the 10 s read timeout \
-         by the self-pipe wakeup, took {elapsed:?}"
+        elapsed < Duration::from_secs(2),
+        "shutdown must be bounded by ~one read-timeout tick, took {elapsed:?}"
     );
     drop(stream);
 }

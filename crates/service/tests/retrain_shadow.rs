@@ -7,10 +7,7 @@
 //! publish; and a promoted candidate reaches a fleet only through the
 //! staged rollout gate — including across a node killed mid-shadow.
 
-mod common;
-
 use browser_engine::{UserAgent, Vendor};
-use common::for_each_backend;
 use fingerprint::{FeatureSet, Submission};
 use polygraph_core::{Detector, TrainConfig, TrainedModel, TrainingSet};
 use polygraph_service::orchestrator::metric_names as orch_metrics;
@@ -138,124 +135,115 @@ fn probe_submission(j: u64) -> Submission {
     }
 }
 
-/// Tentpole invariant, both connection backends: while a candidate
+/// Tentpole invariant: while a candidate
 /// shadows, the live verdict stream is exactly v1's, the cache epoch
 /// never moves, the registry stays empty, and the versioned-publish tag
 /// stays 0. Only promotion changes any of it — all at once.
 #[test]
 fn shadow_candidate_never_serves_before_promotion() {
-    for_each_backend(|config, backend| {
-        let config = RiskServerConfig {
-            cache_shards: 2,
-            cache_capacity: 256,
-            ..config
-        };
-        let server =
-            start_risk_server_with("127.0.0.1:0", Detector::new(serving_model()), config).unwrap();
-        let registry = temp_registry(&format!("never-serves-{backend}"));
-        let mut orch = Orchestrator::new(
-            &server,
-            registry,
-            orch_config(
-                ShadowConfig {
-                    max_divergence: 0.2,
-                    required_checkpoints: 2,
-                    min_compared: 10,
-                },
-                SwapPolicy::PublishAndSwap,
-            ),
-        );
-        let epoch0 = server.cache_epoch().expect("cache enabled");
+    let config = RiskServerConfig {
+        cache_shards: 2,
+        cache_capacity: 256,
+        ..Default::default()
+    };
+    let server =
+        start_risk_server_with("127.0.0.1:0", Detector::new(serving_model()), config).unwrap();
+    let registry = temp_registry("never-serves");
+    let mut orch = Orchestrator::new(
+        &server,
+        registry,
+        orch_config(
+            ShadowConfig {
+                max_divergence: 0.2,
+                required_checkpoints: 2,
+                min_compared: 10,
+            },
+            SwapPolicy::PublishAndSwap,
+        ),
+    );
+    let epoch0 = server.cache_epoch().expect("cache enabled");
 
-        // Drift: the candidate attaches instead of publishing.
-        let outcome = orch
-            .checkpoint(&drift_window(), &[ua(Vendor::Chrome, 101)])
-            .unwrap();
-        assert!(
-            matches!(outcome, RetrainOutcome::ShadowStarted { .. }),
-            "[{backend}] got {outcome:?}"
-        );
-        assert!(server.shadow_attached());
+    // Drift: the candidate attaches instead of publishing.
+    let outcome = orch
+        .checkpoint(&drift_window(), &[ua(Vendor::Chrome, 101)])
+        .unwrap();
+    assert!(
+        matches!(outcome, RetrainOutcome::ShadowStarted { .. }),
+        "got {outcome:?}"
+    );
+    assert!(server.shadow_attached());
 
-        let mut client = RiskClient::connect(server.local_addr()).unwrap();
-        let assert_serving_is_v1 = |client: &mut RiskClient, js: std::ops::Range<u64>| {
-            for j in js {
-                let v = client.assess_submission(&honest_submission(j)).unwrap();
-                assert_eq!(v.status, VerdictStatus::Assessed);
-                assert!(!v.flagged, "[{backend}] honest frame {j} flagged");
-            }
-        };
-
-        // Live traffic while shadowing: honest frames agree between the
-        // models; the 101 probes are where they differ — and the wire
-        // answer must be v1's (flagged) every single time.
-        assert_serving_is_v1(&mut client, 0..30);
-        for j in 0..3u64 {
-            let v = client.assess_submission(&probe_submission(j)).unwrap();
+    let mut client = RiskClient::connect(server.local_addr()).unwrap();
+    let assert_serving_is_v1 = |client: &mut RiskClient, js: std::ops::Range<u64>| {
+        for j in js {
+            let v = client.assess_submission(&honest_submission(j)).unwrap();
             assert_eq!(v.status, VerdictStatus::Assessed);
-            assert!(
-                v.flagged,
-                "[{backend}] probe {j} answered by the shadow candidate pre-promotion"
-            );
+            assert!(!v.flagged, "honest frame {j} flagged");
         }
-        let (compared, diverged) = server.shadow_counts().expect("shadow attached");
-        assert_eq!(compared, 33, "[{backend}] every miss is double-scored");
-        assert_eq!(diverged, 3, "[{backend}] exactly the probes diverge");
-        assert_eq!(
-            server.cache_epoch(),
-            Some(epoch0),
-            "[{backend}] epoch moved"
-        );
-        assert_eq!(server.active_model_version(), 0);
-        assert_eq!(orch.registry().versions().unwrap(), Vec::<u64>::new());
-        assert_eq!(server.stats().swaps, 0);
+    };
 
-        // Divergence 3/33 is under the 0.2 gate: first clean checkpoint.
-        let outcome = orch.checkpoint(&drift_window(), &[]).unwrap();
+    // Live traffic while shadowing: honest frames agree between the
+    // models; the 101 probes are where they differ — and the wire
+    // answer must be v1's (flagged) every single time.
+    assert_serving_is_v1(&mut client, 0..30);
+    for j in 0..3u64 {
+        let v = client.assess_submission(&probe_submission(j)).unwrap();
+        assert_eq!(v.status, VerdictStatus::Assessed);
         assert!(
-            matches!(
-                outcome,
-                RetrainOutcome::ShadowPending {
-                    clean_checkpoints: 1,
-                    ..
-                }
-            ),
-            "[{backend}] got {outcome:?}"
+            v.flagged,
+            "probe {j} answered by the shadow candidate pre-promotion"
         );
-        assert_serving_is_v1(&mut client, 30..50);
+    }
+    let (compared, diverged) = server.shadow_counts().expect("shadow attached");
+    assert_eq!(compared, 33, "every miss is double-scored");
+    assert_eq!(diverged, 3, "exactly the probes diverge");
+    assert_eq!(server.cache_epoch(), Some(epoch0), "epoch moved");
+    assert_eq!(server.active_model_version(), 0);
+    assert_eq!(orch.registry().versions().unwrap(), Vec::<u64>::new());
+    assert_eq!(server.stats().swaps, 0);
 
-        // Second clean checkpoint: promoted — registry, version tag,
-        // cache epoch and the serve path all flip together.
-        let outcome = orch.checkpoint(&drift_window(), &[]).unwrap();
-        assert!(
-            matches!(
-                outcome,
-                RetrainOutcome::ShadowPromoted {
-                    version: 1,
-                    checkpoints: 2,
-                }
-            ),
-            "[{backend}] got {outcome:?}"
-        );
-        assert!(!server.shadow_attached());
-        assert_eq!(orch.registry().versions().unwrap(), vec![1]);
-        assert_eq!(server.active_model_version(), 1);
-        assert_eq!(server.stats().swaps, 1);
-        assert_eq!(
-            server.cache_epoch(),
-            Some(epoch0 + 1),
-            "[{backend}] promotion must invalidate cached v1 verdicts"
-        );
-        for j in 200..203u64 {
-            let v = client.assess_submission(&probe_submission(j)).unwrap();
-            assert!(
-                !v.flagged,
-                "[{backend}] probe {j} still on v1 after promotion"
-            );
-        }
-        drop(client);
-        server.shutdown();
-    });
+    // Divergence 3/33 is under the 0.2 gate: first clean checkpoint.
+    let outcome = orch.checkpoint(&drift_window(), &[]).unwrap();
+    assert!(
+        matches!(
+            outcome,
+            RetrainOutcome::ShadowPending {
+                clean_checkpoints: 1,
+                ..
+            }
+        ),
+        "got {outcome:?}"
+    );
+    assert_serving_is_v1(&mut client, 30..50);
+
+    // Second clean checkpoint: promoted — registry, version tag,
+    // cache epoch and the serve path all flip together.
+    let outcome = orch.checkpoint(&drift_window(), &[]).unwrap();
+    assert!(
+        matches!(
+            outcome,
+            RetrainOutcome::ShadowPromoted {
+                version: 1,
+                checkpoints: 2,
+            }
+        ),
+        "got {outcome:?}"
+    );
+    assert!(!server.shadow_attached());
+    assert_eq!(orch.registry().versions().unwrap(), vec![1]);
+    assert_eq!(server.active_model_version(), 1);
+    assert_eq!(server.stats().swaps, 1);
+    assert_eq!(
+        server.cache_epoch(),
+        Some(epoch0 + 1),
+        "promotion must invalidate cached v1 verdicts"
+    );
+    for j in 200..203u64 {
+        let v = client.assess_submission(&probe_submission(j)).unwrap();
+        assert!(!v.flagged, "probe {j} still on v1 after promotion");
+    }
+    drop(client);
+    server.shutdown();
 }
 
 /// A candidate that disagrees with the serving model on live traffic is

@@ -5,10 +5,9 @@
 //! `results/bench_baseline.json` and fails when cached serving
 //! throughput regressed more than the allowed percentage, when the
 //! cached/uncached speedup fell below the floor, or when the bench's
-//! own determinism gate (`verdicts_identical`) did not hold — including
-//! the reactor backend's wire-conformance gate when the document carries
-//! a `reactor` section. The same code runs in CI's `perf-smoke` job and
-//! locally, so a red gate always reproduces at a developer's desk.
+//! own determinism gate (`verdicts_identical`) did not hold. The same
+//! code runs in CI's `perf-smoke` job and locally, so a red gate always
+//! reproduces at a developer's desk.
 
 use serde_json::Value;
 use std::path::Path;
@@ -139,29 +138,6 @@ pub fn check_documents(
         if identical { "ok" } else { "FAILED" },
     ));
 
-    // Backend conformance: when the bench raced the reactor core, its
-    // verdict stream must have matched the threaded one byte for byte.
-    // Absent section (a pre-reactor document) is not a failure.
-    let reactor_ok = match current.get("reactor") {
-        None => true,
-        Some(section) => {
-            let ok = section
-                .get("verdicts_identical")
-                .and_then(Value::as_bool)
-                .unwrap_or(false);
-            let vs = section
-                .get("vs_threaded")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0);
-            text.push_str(&format!(
-                "bench-check: reactor verdicts_identical (vs threaded {:.2}x) .. {}\n",
-                vs,
-                if ok { "ok" } else { "FAILED" },
-            ));
-            ok
-        }
-    };
-
     // Quantization gate: when the bench raced the fixed-point fast
     // path, its verdict stream must have been byte-identical AND the
     // assess-stage speedup must clear the floor. Throughput regression
@@ -216,7 +192,7 @@ pub fn check_documents(
         }
     };
     Ok(BenchCheckReport {
-        pass: fps_ok && speedup_ok && identical && reactor_ok && quant_ok,
+        pass: fps_ok && speedup_ok && identical && quant_ok,
         text,
     })
 }
@@ -492,48 +468,6 @@ mod tests {
         .unwrap();
         assert!(!report.pass);
         assert!(report.text.contains("BELOW FLOOR"), "{}", report.text);
-    }
-
-    fn with_reactor(mut doc: Value, identical: bool) -> Value {
-        if let Value::Object(map) = &mut doc {
-            map.insert(
-                "reactor".to_string(),
-                serde_json::parse_value(&format!(
-                    r#"{{"frames_per_sec": 900.0, "verdicts_identical": {identical},
-                        "vs_threaded": 0.9}}"#
-                ))
-                .unwrap(),
-            );
-        }
-        doc
-    }
-
-    #[test]
-    fn reactor_conformance_gates_when_present() {
-        let baseline = doc(1000.0, 2.6, true);
-        let good = with_reactor(doc(1000.0, 2.6, true), true);
-        let report = check_documents(&good, &baseline, BenchCheckConfig::default()).unwrap();
-        assert!(report.pass, "{}", report.text);
-        assert!(report.text.contains("reactor verdicts_identical"));
-
-        let bad = with_reactor(doc(1000.0, 2.6, true), false);
-        let report = check_documents(&bad, &baseline, BenchCheckConfig::default()).unwrap();
-        assert!(!report.pass);
-        assert!(report.text.contains("FAILED"), "{}", report.text);
-    }
-
-    #[test]
-    fn pre_reactor_documents_still_pass() {
-        // A document without a `reactor` section (the pre-reactor bench
-        // schema) must not fail the gate.
-        let report = check_documents(
-            &doc(1000.0, 2.6, true),
-            &doc(1000.0, 2.6, true),
-            BenchCheckConfig::default(),
-        )
-        .unwrap();
-        assert!(report.pass, "{}", report.text);
-        assert!(!report.text.contains("reactor"));
     }
 
     fn with_quant(mut doc: Value, identical: bool, assess_speedup: f64, fps: f64) -> Value {

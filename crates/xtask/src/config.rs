@@ -64,15 +64,11 @@ impl Default for LintConfig {
                 // under an injected clock (its one Instant::now lives in
                 // MonotonicClock, allowlisted in lint.toml).
                 "crates/obs/src/".into(),
-                // The readiness reactor paces itself by scan counts and
-                // takes deadlines from the injected server Clock.
-                "crates/service/src/reactor.rs".into(),
             ],
             key_determinism_zone: vec!["crates/service/src/".into(), "crates/cache/src/".into()],
             panic_zone: vec![
                 "crates/service/src/server.rs".into(),
                 "crates/service/src/framing.rs".into(),
-                "crates/service/src/reactor.rs".into(),
                 "crates/service/src/proto.rs".into(),
                 "crates/service/src/client.rs".into(),
                 "crates/fingerprint/src/wire.rs".into(),

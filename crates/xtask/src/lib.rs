@@ -149,13 +149,12 @@ pub fn fixture_lint_config() -> LintConfig {
     LintConfig {
         determinism_zone: vec![
             "det_".into(),
-            "reactor_".into(),
             "quant_".into(),
             "fleet_".into(),
             "minibatch_".into(),
         ],
         key_determinism_zone: vec!["keys_".into()],
-        panic_zone: vec!["panic_".into(), "reactor_".into()],
+        panic_zone: vec!["panic_".into()],
         concurrency_zone: vec![
             "lock_order_".into(),
             "guard_scope_".into(),

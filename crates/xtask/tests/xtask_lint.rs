@@ -21,9 +21,9 @@ fn fixture_config() -> LintConfig {
 exclude = []
 
 [zones]
-determinism = ["det_", "reactor_", "quant_", "fleet_", "minibatch_"]
+determinism = ["det_", "quant_", "fleet_", "minibatch_"]
 key_determinism = ["keys_"]
-panic_safety = ["panic_", "reactor_"]
+panic_safety = ["panic_"]
 concurrency = ["lock_order_", "guard_scope_", "atomic_", "quant_", "fleet_", "minibatch_"]
 "#,
         )
@@ -87,9 +87,6 @@ fn bad_fixtures_fire_every_rule_at_the_expected_lines() {
         ("quant_bad.rs", "POLY-D001", 10),       // HashMap::new()
         ("quant_bad.rs", "POLY-L002", 17),       // assess_many under slot.read()
         ("quant_bad.rs", "POLY-L003", 21),       // epoch.store(…, Relaxed)
-        ("reactor_bad.rs", "POLY-D002", 6),      // Instant::now() in the poll loop
-        ("reactor_bad.rs", "POLY-P004", 7),      // events[0]
-        ("reactor_bad.rs", "POLY-P001", 8),      // unwrap()
         ("src/hygiene_bad.rs", "POLY-H002", 4),  // println!
         ("src/hygiene_bad.rs", "POLY-H001", 5),  // unsafe
         ("src/pool_bad.rs", "POLY-H003", 3),     // missing serial twin
@@ -257,7 +254,7 @@ fn dogfooding_allows_are_load_bearing() {
     let root = workspace_root();
     let full = workspace_config();
     let cases: &[(&str, &str, &[u32])] = &[
-        ("POLY-L002", "crates/service/src/server.rs", &[1036, 1435]),
+        ("POLY-L002", "crates/service/src/server.rs", &[955, 1123]),
         ("POLY-L003", "crates/cache/src/lib.rs", &[105, 114, 156]),
         ("POLY-L003", "crates/ml/src/pool.rs", &[37, 101]),
     ];

@@ -5,7 +5,7 @@
 //! polygraph table   --registry DIR
 //! polygraph assess  --registry DIR --ua "<user-agent>" --values 330,270,...
 //! polygraph drift   --registry DIR [--sessions N]
-//! polygraph serve   --registry DIR [--addr HOST:PORT] [--backend threaded|reactor]
+//! polygraph serve   --registry DIR [--addr HOST:PORT]
 //! ```
 //!
 //! `train` fits a model on simulated traffic and publishes it to the
@@ -60,7 +60,7 @@ const USAGE: &str = "usage:
   polygraph table   --registry DIR
   polygraph assess  --registry DIR --ua \"<user-agent string>\" --values v1,v2,...
   polygraph drift   --registry DIR [--sessions N] [--seed S]
-  polygraph serve   --registry DIR [--addr HOST:PORT] [--backend threaded|reactor]";
+  polygraph serve   --registry DIR [--addr HOST:PORT]";
 
 struct Opts {
     flags: HashMap<String, String>,
@@ -242,22 +242,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         .get("addr")
         .map(String::as_str)
         .unwrap_or("127.0.0.1:7431");
-    let backend = match opts.flags.get("backend").map(String::as_str) {
-        None | Some("threaded") => browser_polygraph::service::ServerBackend::Threaded,
-        Some("reactor") => browser_polygraph::service::ServerBackend::Reactor,
-        Some(other) => return Err(format!("unknown backend {other:?} (threaded|reactor)")),
-    };
-    let config = browser_polygraph::service::RiskServerConfig {
-        backend,
-        ..Default::default()
-    };
-    let server =
-        browser_polygraph::service::start_risk_server_with(addr, Detector::new(model), config)
-            .map_err(|e| format!("binding {addr}: {e}"))?;
-    println!(
-        "risk service listening on {} ({backend:?} backend)",
-        server.local_addr()
-    );
+    let server = browser_polygraph::service::start_risk_server(addr, Detector::new(model))
+        .map_err(|e| format!("binding {addr}: {e}"))?;
+    println!("risk service listening on {}", server.local_addr());
     println!("frames: u16-LE length + fingerprint submission; response: 8-byte verdict");
     println!("press Ctrl-C to stop");
     loop {

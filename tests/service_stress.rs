@@ -16,11 +16,10 @@
 //!
 //! A third scenario is a seeded connection-churn storm: hundreds of
 //! short-lived connections opening and closing under a standing pool of
-//! long-lived pipelined ones, run against both connection cores. Every
-//! slot must be reaped while the server keeps serving, the
-//! `server.connections.open` gauge must return to zero, and the reactor
-//! must sustain at least 4x the threaded run's concurrent-connection
-//! count with the same exact counter identities.
+//! 48 long-lived pipelined ones. The gauge must show the whole standing
+//! pool at once, every connection must be reaped while the server keeps
+//! serving, the `server.connections.open` gauge must return to zero, and
+//! the counters must reconcile exactly with what the clients saw.
 
 use browser_polygraph::core::{Detector, TrainConfig, TrainedModel, TrainingSet};
 use browser_polygraph::engine::{UserAgent, Vendor};
@@ -33,8 +32,8 @@ use browser_polygraph::service::proto::{
 };
 use browser_polygraph::service::server::metric_names;
 use browser_polygraph::service::{
-    start_risk_server, start_risk_server_with, RiskServerConfig, ServerBackend, Verdict,
-    VerdictStatus, MAX_BATCH_PER_GUARD,
+    start_risk_server, start_risk_server_with, RiskServerConfig, Verdict, VerdictStatus,
+    MAX_BATCH_PER_GUARD,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -194,7 +193,7 @@ fn pipelined_clients_survive_fifty_hot_swaps() {
 const CHURN_SEED: u64 = 0x00C0_FFEE_D00D_F00D;
 const SHORT_WORKERS: usize = 4;
 const SHORT_PER_WORKER: usize = 60;
-const LONG_LIVED_BASE: usize = 12;
+const LONG_LIVED: usize = 48;
 const LONG_ROUNDS: usize = 3;
 
 /// Deterministic schedule byte for the churn storm.
@@ -215,15 +214,14 @@ fn churn_round_trip(stream: &mut TcpStream, honest: &[u8], lying: &[u8], k: usiz
     assert_eq!(v.flagged, k % 2 == 1, "{tag}: verdict out of order");
 }
 
-/// Runs the seeded open/close storm against one backend: `long_lived`
-/// standing connections kept busy while `SHORT_WORKERS` threads churn
-/// through short-lived ones. Returns the concurrent-connection count the
-/// server sustained (read from the `server.connections.open` gauge while
-/// the full standing pool was live), after asserting that every slot was
-/// reaped, the gauge returned to zero, and the counters reconcile.
-fn churn_storm(backend: ServerBackend, long_lived: usize) -> i64 {
+/// The seeded open/close storm: `LONG_LIVED` standing connections kept
+/// busy while `SHORT_WORKERS` threads churn through short-lived ones.
+/// The `server.connections.open` gauge must show the full standing pool,
+/// every connection must be reaped, the gauge must return to zero, and
+/// the counters must reconcile.
+#[test]
+fn connection_churn_storm_reaps_every_slot() {
     let config = RiskServerConfig {
-        backend,
         read_timeout: Duration::from_secs(10),
         ..Default::default()
     };
@@ -233,8 +231,8 @@ fn churn_storm(backend: ServerBackend, long_lived: usize) -> i64 {
     let lying = frame_for(vec![20, 20], UserAgent::new(Vendor::Chrome, 100), 2);
 
     // Stand up the long-lived pool, one confirmed round trip each.
-    let mut long_conns = Vec::with_capacity(long_lived);
-    for j in 0..long_lived {
+    let mut long_conns = Vec::with_capacity(LONG_LIVED);
+    for j in 0..LONG_LIVED {
         let mut stream = TcpStream::connect(addr).expect("connect long-lived");
         stream.set_nodelay(true).expect("nodelay");
         stream
@@ -243,10 +241,10 @@ fn churn_storm(backend: ServerBackend, long_lived: usize) -> i64 {
         churn_round_trip(&mut stream, &honest, &lying, 0, &format!("long {j} warmup"));
         long_conns.push(stream);
     }
-    let mut long_frames = long_lived;
+    let mut long_frames = LONG_LIVED;
     let concurrent = server.stats().connections_open;
     assert!(
-        concurrent >= long_lived as i64,
+        concurrent >= LONG_LIVED as i64,
         "the full standing pool must be visible in the gauge: {concurrent}"
     );
 
@@ -317,7 +315,7 @@ fn churn_storm(backend: ServerBackend, long_lived: usize) -> i64 {
 
     // With every client gone, the server must retire each slot cleanly
     // *while still serving*: all reaped, the open gauge back to zero.
-    let opened = long_lived + SHORT_WORKERS * SHORT_PER_WORKER;
+    let opened = LONG_LIVED + SHORT_WORKERS * SHORT_PER_WORKER;
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = server.stats();
@@ -345,19 +343,6 @@ fn churn_storm(backend: ServerBackend, long_lived: usize) -> i64 {
         "every client-observed verdict counted exactly once"
     );
     server.shutdown();
-    concurrent
-}
-
-#[test]
-fn connection_churn_storm_reaps_every_slot() {
-    let threaded = churn_storm(ServerBackend::Threaded, LONG_LIVED_BASE);
-    // The reactor run holds a 4x standing pool through the same storm.
-    let reactor = churn_storm(ServerBackend::Reactor, LONG_LIVED_BASE * 4);
-    assert!(
-        reactor >= 4 * threaded,
-        "the reactor must sustain at least 4x the threaded backend's \
-         concurrent connections: reactor {reactor}, threaded {threaded}"
-    );
 }
 
 const DET_FRAMES: usize = 50;
