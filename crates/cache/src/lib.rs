@@ -18,9 +18,15 @@
 //!   the same slot in every process, every run. Replayability is a
 //!   workspace invariant (lint rule POLY-D004 pins it).
 //! * **Power-of-two sharding**: the low key bits select one of N shards,
-//!   each an independent `RwLock`-protected bounded map. Lookups take a
-//!   read lock only; the reference bits CLOCK eviction needs are atomics,
-//!   so concurrent hits never serialize on a shard.
+//!   each an independent `RwLock`-protected bounded slot arena. Lookups
+//!   take a read lock only; the reference bits CLOCK eviction needs are
+//!   atomics, so concurrent hits never serialize on a shard.
+//! * **Open-addressed shard index**: each shard finds a key's slot
+//!   through a linear-probing table of at least twice the shard's
+//!   capacity, homed by a fixed multiplicative mix of the key (the low
+//!   bits chose the shard, so they are constant within it). Deletion
+//!   shifts the probe chain back instead of leaving tombstones, so probe
+//!   lengths stay short however many evictions the shard absorbs.
 //! * **CLOCK / second-chance eviction** per shard: a full shard evicts
 //!   the first slot whose reference bit is clear, clearing bits as the
 //!   hand sweeps. Entries whose epoch is stale are evicted on sight —
@@ -28,7 +34,10 @@
 //! * **Epoch invalidation**: every entry carries the model epoch it was
 //!   assessed under. A model swap bumps one `AtomicU64` instead of
 //!   draining shards; entries from older epochs lazily miss (and report
-//!   as [`Lookup::Stale`] so the caller can count them).
+//!   as [`Lookup::Stale`] so the caller can count them). Each shard
+//!   counts its entries at its newest epoch, so
+//!   [`VerdictCache::current_occupancy`] costs one read lock per shard,
+//!   not a scan of every slot.
 //!
 //! The cache is value-generic: the service stores its wire `Verdict`, the
 //! tests store small integers.
@@ -37,12 +46,15 @@
 #![warn(missing_docs)]
 
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Upper bound on the shard count (a power of two; more shards than this
 /// buys nothing and wastes memory on empty maps).
 pub const MAX_SHARDS: usize = 1024;
+
+/// The 64-bit golden-ratio constant: multiplying by it spreads every key
+/// bit into the product's high bits, which pick a key's home bucket.
+const HOME_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The outcome of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,25 +87,150 @@ struct Slot<V> {
     value: V,
 }
 
-/// One shard: a bounded slot arena, a key→slot index, and the CLOCK hand.
+/// One index bucket: a key and its slot position plus one. `slot == 0`
+/// marks an empty bucket.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bucket {
+    key: u64,
+    slot: usize,
+}
+
+/// A shard's key→slot index: an open-addressed table with linear
+/// probing and backward-shift deletion.
+///
+/// It holds a power of two of at least twice the shard's capacity in
+/// buckets, so it is never more than half full and every probe ends at
+/// an empty bucket within a few steps. A key's home bucket is the top
+/// bits of a fixed multiplicative mix of the key: the low key bits chose
+/// the shard and are identical for every key in it. Deletion moves the
+/// rest of the probe chain back over the hole instead of leaving a
+/// tombstone, so a shard that evicts on every insert keeps its probes as
+/// short as a fresh one. No `RandomState`: the layout is a pure function
+/// of the insert sequence (POLY-D004).
+struct Index {
+    buckets: Vec<Bucket>,
+    /// `buckets.len() - 1`: probe steps wrap with `& mask`.
+    mask: usize,
+    /// `64 - log2(buckets.len())`: the home bucket is the mixed key
+    /// shifted right by this.
+    shift: u32,
+}
+
+impl Index {
+    fn with_capacity(capacity: usize) -> Self {
+        let len = capacity.saturating_mul(2).next_power_of_two().max(2);
+        Self {
+            buckets: vec![Bucket::default(); len],
+            mask: len - 1,
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(HOME_MIX) >> self.shift) as usize
+    }
+
+    /// Probes for `key`: `Ok` with the bucket holding it, or `Err` with
+    /// the empty bucket that ends its probe chain — where it would go.
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        let mut pos = self.home(key);
+        // At most half the buckets are full, so an empty one is always
+        // reached; the bound only keeps the loop visibly finite.
+        for _ in 0..self.buckets.len() {
+            match self.buckets.get(pos) {
+                Some(b) if b.slot == 0 => return Err(pos),
+                Some(b) if b.key == key => return Ok(pos),
+                _ => pos = (pos + 1) & self.mask,
+            }
+        }
+        Err(pos)
+    }
+
+    /// The slot position stored in an occupied `bucket`.
+    fn slot_at(&self, bucket: usize) -> Option<usize> {
+        self.buckets.get(bucket)?.slot.checked_sub(1)
+    }
+
+    /// The slot holding `key`, if it is indexed.
+    fn get(&self, key: u64) -> Option<usize> {
+        self.slot_at(self.find(key).ok()?)
+    }
+
+    /// Stores `key → slot` in `bucket`, which [`Self::find`] returned.
+    fn fill(&mut self, bucket: usize, key: u64, slot: usize) {
+        if let Some(b) = self.buckets.get_mut(bucket) {
+            *b = Bucket {
+                key,
+                slot: slot + 1,
+            };
+        }
+    }
+
+    /// Indexes `key → slot`; the caller knows `key` is absent.
+    fn insert(&mut self, key: u64, slot: usize) {
+        let (Ok(bucket) | Err(bucket)) = self.find(key);
+        self.fill(bucket, key, slot);
+    }
+
+    /// Unindexes `key` by backward shift: walking on to the empty bucket
+    /// that ends the chain, each entry whose probe path passes the hole
+    /// moves back into it and leaves its own bucket as the new hole.
+    /// Every key stays reachable from its home with no tombstone left.
+    fn remove(&mut self, key: u64) {
+        let Ok(mut hole) = self.find(key) else {
+            return;
+        };
+        let mut next = (hole + 1) & self.mask;
+        for _ in 0..self.buckets.len() {
+            let Some(&moved) = self.buckets.get(next) else {
+                break;
+            };
+            if moved.slot == 0 {
+                break;
+            }
+            // `moved` may fill the hole when the hole lies cyclically in
+            // [home, next): probing from its home passes the hole first.
+            let home = self.home(moved.key);
+            if next.wrapping_sub(hole) & self.mask <= next.wrapping_sub(home) & self.mask {
+                if let Some(b) = self.buckets.get_mut(hole) {
+                    *b = moved;
+                }
+                hole = next;
+            }
+            next = (next + 1) & self.mask;
+        }
+        if let Some(b) = self.buckets.get_mut(hole) {
+            *b = Bucket::default();
+        }
+    }
+}
+
+/// One shard: a bounded slot arena, its key→slot index, the CLOCK hand,
+/// and a count of the slots at the newest epoch inserted.
 struct Shard<V> {
     slots: Vec<Slot<V>>,
-    /// Deterministically ordered index (POLY-D004 zone: no `RandomState`).
-    index: BTreeMap<u64, usize>,
+    index: Index,
     hand: usize,
+    /// Number of slots tagged `live_epoch`. No slot carries a newer
+    /// epoch, so when `live_epoch` is the cache's current epoch this is
+    /// the shard's current occupancy, and otherwise that occupancy is 0.
+    live: usize,
+    live_epoch: u64,
 }
 
 impl<V: Clone> Shard<V> {
     fn new(capacity: usize) -> Self {
         Self {
             slots: Vec::with_capacity(capacity),
-            index: BTreeMap::new(),
+            index: Index::with_capacity(capacity),
             hand: 0,
+            live: 0,
+            live_epoch: 0,
         }
     }
 
     fn lookup(&self, key: u64, current_epoch: u64) -> Lookup<V> {
-        let Some(&pos) = self.index.get(&key) else {
+        let Some(pos) = self.index.get(key) else {
             return Lookup::Miss;
         };
         let Some(slot) = self.slots.get(pos) else {
@@ -107,37 +244,79 @@ impl<V: Clone> Shard<V> {
     }
 
     fn insert(&mut self, key: u64, epoch: u64, value: V, capacity: usize) -> InsertOutcome {
-        if let Some(&pos) = self.index.get(&key) {
-            if let Some(slot) = self.slots.get_mut(pos) {
-                slot.epoch = epoch;
-                slot.value = value;
-                slot.referenced.store(true, Ordering::Relaxed);
-                return InsertOutcome {
-                    evicted: false,
-                    replaced: true,
-                };
+        if epoch > self.live_epoch {
+            // Nothing resident carries this epoch yet.
+            self.live_epoch = epoch;
+            self.live = 0;
+        }
+        match self.index.find(key) {
+            Ok(bucket) => self.replace(bucket, epoch, value),
+            Err(empty) if self.slots.len() < capacity => {
+                self.index.fill(empty, key, self.slots.len());
+                self.slots.push(Slot {
+                    key,
+                    epoch,
+                    referenced: AtomicBool::new(true),
+                    value,
+                });
+                self.retag(None, epoch);
+                InsertOutcome::default()
             }
+            Err(_) => self.evict_for(key, epoch, value),
         }
-        let fresh = Slot {
-            key,
-            epoch,
-            referenced: AtomicBool::new(true),
-            value,
-        };
-        if self.slots.len() < capacity {
-            self.index.insert(key, self.slots.len());
-            self.slots.push(fresh);
+    }
+
+    /// Refreshes the slot `bucket` points at in place.
+    fn replace(&mut self, bucket: usize, epoch: u64, value: V) -> InsertOutcome {
+        let Some(slot) = self
+            .index
+            .slot_at(bucket)
+            .and_then(|pos| self.slots.get_mut(pos))
+        else {
             return InsertOutcome::default();
+        };
+        let old_epoch = std::mem::replace(&mut slot.epoch, epoch);
+        slot.value = value;
+        slot.referenced.store(true, Ordering::Relaxed);
+        self.retag(Some(old_epoch), epoch);
+        InsertOutcome {
+            evicted: false,
+            replaced: true,
         }
+    }
+
+    /// Overwrites the CLOCK victim with a fresh entry for `key`.
+    fn evict_for(&mut self, key: u64, epoch: u64, value: V) -> InsertOutcome {
         let pos = self.clock_victim(epoch);
-        if let Some(slot) = self.slots.get_mut(pos) {
-            self.index.remove(&slot.key);
-            *slot = fresh;
-            self.index.insert(key, pos);
-        }
+        let Some(slot) = self.slots.get_mut(pos) else {
+            return InsertOutcome::default();
+        };
+        let victim = std::mem::replace(
+            slot,
+            Slot {
+                key,
+                epoch,
+                referenced: AtomicBool::new(true),
+                value,
+            },
+        );
+        self.index.remove(victim.key);
+        self.index.insert(key, pos);
+        self.retag(Some(victim.epoch), epoch);
         InsertOutcome {
             evicted: true,
             replaced: false,
+        }
+    }
+
+    /// Keeps `live` in step when a slot's epoch changes from `old` (`None`
+    /// for a new slot) to `new`.
+    fn retag(&mut self, old: Option<u64>, new: u64) {
+        if old == Some(self.live_epoch) {
+            self.live = self.live.saturating_sub(1);
+        }
+        if new == self.live_epoch {
+            self.live += 1;
         }
     }
 
@@ -240,7 +419,8 @@ impl<V: Clone> VerdictCache<V> {
     /// assessment borrowed the model: if a swap landed in between, the
     /// entry is tagged with the old epoch and harmlessly misses forever;
     /// the reverse — an old-model verdict tagged with the new epoch —
-    /// cannot happen (see [`Self::bump_epoch`]).
+    /// cannot happen (see [`Self::bump_epoch`]). `epoch` is never newer
+    /// than [`Self::epoch`]; [`Self::current_occupancy`] relies on it.
     pub fn insert(&self, key: u64, epoch: u64, value: V) -> InsertOutcome {
         match self.shard(key) {
             Some(shard) => shard
@@ -264,16 +444,21 @@ impl<V: Clone> VerdictCache<V> {
     /// only ones a [`Self::lookup`] can hit. After [`Self::bump_epoch`]
     /// this drops to zero immediately even though [`Self::occupancy`]
     /// still reports the stale slots until CLOCK sweeps them.
+    ///
+    /// O(shards): each shard keeps a count of its slots at the newest
+    /// epoch inserted, so this reads one counter per shard instead of
+    /// scanning every slot.
     pub fn current_occupancy(&self) -> usize {
         let epoch = self.epoch();
         self.shards
             .iter()
             .map(|s| {
-                s.read()
-                    .slots
-                    .iter()
-                    .filter(|slot| slot.epoch == epoch)
-                    .count()
+                let shard = s.read();
+                if shard.live_epoch == epoch {
+                    shard.live
+                } else {
+                    0
+                }
             })
             .sum()
     }
@@ -459,5 +644,223 @@ mod tests {
             h.join().unwrap();
         }
         assert!(cache.occupancy() <= cache.capacity());
+    }
+}
+
+/// The cache against a reference model, over seeded op sequences: the
+/// model finds keys by scanning its slot arena and counts occupancy by a
+/// full scan, so the open-addressed index and the live counts have
+/// nothing to agree with but the truth.
+#[cfg(test)]
+mod model_check {
+    use super::*;
+
+    /// SplitMix64: a seeded op stream with no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    struct RefSlot {
+        key: u64,
+        epoch: u64,
+        referenced: bool,
+        value: u64,
+    }
+
+    /// One reference shard: the same arena and CLOCK hand, no index.
+    #[derive(Debug, Default)]
+    struct RefShard {
+        slots: Vec<RefSlot>,
+        hand: usize,
+    }
+
+    impl RefShard {
+        fn position(&self, key: u64) -> Option<usize> {
+            self.slots.iter().position(|s| s.key == key)
+        }
+
+        fn lookup(&mut self, key: u64, epoch: u64) -> Lookup<u64> {
+            let Some(pos) = self.position(key) else {
+                return Lookup::Miss;
+            };
+            let slot = &mut self.slots[pos];
+            if slot.epoch != epoch {
+                return Lookup::Stale;
+            }
+            slot.referenced = true;
+            Lookup::Hit(slot.value)
+        }
+
+        fn insert(&mut self, key: u64, epoch: u64, value: u64, capacity: usize) -> InsertOutcome {
+            let fresh = RefSlot {
+                key,
+                epoch,
+                referenced: true,
+                value,
+            };
+            if let Some(pos) = self.position(key) {
+                self.slots[pos] = fresh;
+                return InsertOutcome {
+                    evicted: false,
+                    replaced: true,
+                };
+            }
+            if self.slots.len() < capacity {
+                self.slots.push(fresh);
+                return InsertOutcome::default();
+            }
+            let n = self.slots.len();
+            let victim = loop {
+                let pos = self.hand % n;
+                self.hand = (self.hand + 1) % n;
+                let slot = &mut self.slots[pos];
+                if slot.epoch != epoch || !std::mem::replace(&mut slot.referenced, false) {
+                    break pos;
+                }
+            };
+            self.slots[victim] = fresh;
+            InsertOutcome {
+                evicted: true,
+                replaced: false,
+            }
+        }
+    }
+
+    /// The value stored for `key` at `epoch`: a hit proves whose it is.
+    fn value_of(key: u64, epoch: u64) -> u64 {
+        key.rotate_left(17) ^ epoch
+    }
+
+    /// Every structural claim the cache makes, checked against `model`.
+    fn check(cache: &VerdictCache<u64>, model: &[RefShard]) {
+        let epoch = cache.epoch();
+        let mut current = 0;
+        for (shard, reference) in cache.shards.iter().zip(model) {
+            let shard = shard.read();
+            let indexed = shard.index.buckets.iter().filter(|b| b.slot != 0).count();
+            assert_eq!(indexed, shard.slots.len(), "one index entry per slot");
+            assert!(shard.index.buckets.len() >= 2 * cache.capacity_per_shard);
+            assert!(shard.index.buckets.len().is_power_of_two());
+            assert!(shard.slots.len() <= cache.capacity_per_shard);
+            for (pos, slot) in shard.slots.iter().enumerate() {
+                assert_eq!(
+                    shard.index.get(slot.key),
+                    Some(pos),
+                    "key found at its slot"
+                );
+            }
+            let keys: Vec<(u64, u64, u64)> = shard
+                .slots
+                .iter()
+                .map(|s| (s.key, s.epoch, s.value))
+                .collect();
+            let expected: Vec<(u64, u64, u64)> = reference
+                .slots
+                .iter()
+                .map(|s| (s.key, s.epoch, s.value))
+                .collect();
+            assert_eq!(keys, expected, "arena diverged from the reference CLOCK");
+            current += reference.slots.iter().filter(|s| s.epoch == epoch).count();
+        }
+        assert_eq!(cache.current_occupancy(), current);
+        assert!(cache.occupancy() <= cache.capacity());
+    }
+
+    fn run(seed: u64, shards: usize, capacity: usize) {
+        let cache: VerdictCache<u64> = VerdictCache::new(shards, capacity);
+        let mask = cache.mask;
+        let per_shard = cache.capacity_per_shard;
+        let mut model: Vec<RefShard> = (0..cache.shard_count())
+            .map(|_| RefShard::default())
+            .collect();
+        let mut rng = Rng(seed);
+        // Twice as many keys as slots, half of them small integers (dense
+        // in every shard) and half random 64-bit keys.
+        let pool: Vec<u64> = (0..2 * cache.capacity() as u64)
+            .map(|i| if i % 2 == 0 { i / 2 } else { rng.next() })
+            .collect();
+        let ops = (4 * cache.capacity()).max(2_000);
+        let check_every = if cache.capacity() < 200 { 1 } else { 64 };
+        for op in 0..ops {
+            let key = pool[rng.below(pool.len() as u64) as usize];
+            let reference = &mut model[(key & mask) as usize];
+            let epoch = cache.epoch();
+            match rng.below(100) {
+                0..=1 => {
+                    cache.bump_epoch();
+                }
+                2..=11 if epoch > 0 => {
+                    let old = epoch - 1 - rng.below(epoch.min(3));
+                    let value = value_of(key, old);
+                    assert_eq!(
+                        cache.insert(key, old, value),
+                        reference.insert(key, old, value, per_shard),
+                        "old-epoch insert of {key:#x}"
+                    );
+                }
+                12..=54 => {
+                    let value = value_of(key, epoch);
+                    assert_eq!(
+                        cache.insert(key, epoch, value),
+                        reference.insert(key, epoch, value, per_shard),
+                        "insert of {key:#x}"
+                    );
+                }
+                _ => {
+                    let got = cache.lookup(key);
+                    assert_eq!(got, reference.lookup(key, epoch), "lookup of {key:#x}");
+                    if let Lookup::Hit(v) = got {
+                        assert_eq!(v, value_of(key, epoch), "a hit returns its own value");
+                    }
+                }
+            }
+            if op % check_every == 0 {
+                check(&cache, &model);
+            }
+        }
+        check(&cache, &model);
+    }
+
+    #[test]
+    fn seeded_ops_match_the_scanning_reference() {
+        for (seed, &capacity) in (1u64..).zip(&[1usize, 2, 3, 5, 8, 17, 64, 100, 1_000, 1_500]) {
+            for shards in [1usize, 2, 8] {
+                run(seed * 1_000 + shards as u64, shards, capacity);
+            }
+        }
+    }
+
+    #[test]
+    fn backward_shift_keeps_a_shared_probe_chain_reachable() {
+        // Five keys with one home bucket form a single chain; removing
+        // from its head, middle and tail must leave the rest findable
+        // and the emptied buckets truly empty.
+        let mut index = Index::with_capacity(8);
+        let keys: Vec<u64> = (0u64..).filter(|&k| index.home(k) == 3).take(5).collect();
+        for (slot, &key) in keys.iter().enumerate() {
+            index.insert(key, slot);
+        }
+        for (removed, &gone) in [keys[0], keys[2], keys[4]].iter().enumerate() {
+            index.remove(gone);
+            assert_eq!(index.get(gone), None);
+            let occupied = index.buckets.iter().filter(|b| b.slot != 0).count();
+            assert_eq!(occupied, keys.len() - removed - 1, "no tombstones");
+        }
+        assert_eq!(index.get(keys[1]), Some(1));
+        assert_eq!(index.get(keys[3]), Some(3));
+        assert_eq!(index.find(keys[1]), Ok(3), "shifted back to its home");
     }
 }

@@ -355,13 +355,14 @@ impl CacheLayer {
         }
     }
 
-    /// Normal-path lookup: every submission frame is charged as exactly
+    /// Normal-path lookup of a frame's cache key (`None` for an
+    /// unkeyable frame): every submission frame is charged as exactly
     /// one hit or one miss (unkeyable and stale-epoch frames are misses),
     /// so the cache counters balance against the verdict counters. A hit
     /// also charges `local` — to the client a cached answer *is* an
     /// assessment.
-    fn lookup_for_assess(&self, frame: &[u8], local: &mut LocalCounters) -> Option<Verdict> {
-        let Some(key) = submission_cache_key(frame) else {
+    fn lookup_for_assess(&self, key: Option<u64>, local: &mut LocalCounters) -> Option<Verdict> {
+        let Some(key) = key else {
             self.misses.inc();
             return None;
         };
@@ -413,13 +414,10 @@ impl CacheLayer {
     /// detector guard was taken. Error verdicts are never cached — a
     /// malformed frame must stay malformed-on-arrival, and a shed frame
     /// is never cached at all (it is never assessed).
-    fn store(&self, frame: &[u8], epoch: u64, verdict: Verdict) {
+    fn store(&self, key: u64, epoch: u64, verdict: Verdict) {
         if verdict.status != VerdictStatus::Assessed {
             return;
         }
-        let Some(key) = submission_cache_key(frame) else {
-            return;
-        };
         if self.cache.insert(key, epoch, verdict).evicted {
             self.evictions.inc();
         }
@@ -428,6 +426,7 @@ impl CacheLayer {
     fn publish_occupancy(&self) {
         // Current-epoch entries only: stale slots cannot serve a hit, so
         // gauging them would overreport the live cache after every swap.
+        // O(shards), so it runs once per batch and at every swap.
         let occ = self.cache.current_occupancy().min(i64::MAX as usize) as i64;
         self.occupancy.set(occ);
     }
@@ -542,6 +541,7 @@ impl RiskServerHandle {
         self.metrics.swaps.inc();
         if let Some(cache) = &self.cache {
             cache.cache.bump_epoch();
+            cache.publish_occupancy();
         }
     }
 
@@ -901,15 +901,21 @@ fn process_buffered(
     // between batches, never inside one. `STATS` frames are answered
     // outside the guard. `verdicts` stays in submission order: a
     // `Some` is a cache hit, a `None` a miss the detector phase
-    // fills in place.
+    // fills in place. Each frame's cache key is hashed once here and
+    // kept in `keys` (parallel to `verdicts`) for the store after the
+    // assess.
     let n_submissions = frames.iter().filter(|f| !is_stats_request(f)).count();
     let mut verdicts: Vec<Option<Verdict>> = Vec::with_capacity(n_submissions);
+    let mut keys: Vec<Option<u64>> = Vec::new();
     if n_submissions > 0 {
         let mut local = LocalCounters::default();
         match ctx.cache.as_deref() {
             Some(cache) => {
+                keys.reserve_exact(n_submissions);
                 for f in frames.iter().filter(|f| !is_stats_request(f)) {
-                    verdicts.push(cache.lookup_for_assess(f, &mut local));
+                    let key = submission_cache_key(f);
+                    keys.push(key);
+                    verdicts.push(cache.lookup_for_assess(key, &mut local));
                 }
             }
             None => verdicts.resize_with(n_submissions, || None),
@@ -959,9 +965,9 @@ fn process_buffered(
             // counters the single-frame path charges.
             let mut results = assessments.into_iter();
             let mut was_decoded = miss_decoded.into_iter();
-            let mut slots = verdicts.iter_mut();
-            for f in frames.iter().filter(|f| !is_stats_request(f)) {
-                let Some(slot) = slots.next() else { break };
+            let mut frame_keys = keys.iter();
+            for slot in verdicts.iter_mut() {
+                let key = frame_keys.next().copied().flatten();
                 if slot.is_some() {
                     continue;
                 }
@@ -979,8 +985,10 @@ fn process_buffered(
                     local.malformed += 1;
                     Verdict::error(VerdictStatus::Malformed)
                 };
-                if let (Some(cache), Some(epoch)) = (ctx.cache.as_deref(), insert_epoch) {
-                    cache.store(f, epoch, v);
+                if let (Some(cache), Some(epoch), Some(key)) =
+                    (ctx.cache.as_deref(), insert_epoch, key)
+                {
+                    cache.store(key, epoch, v);
                 }
                 *slot = Some(v);
             }
@@ -1140,31 +1148,39 @@ pub fn assess_frame(frame: &[u8], detector: &RwLock<Detector>, registry: &Regist
     verdict
 }
 
-/// Slots in a connection's [`UaMemo`]. The distinct user-agent
-/// population per connection is tiny (a few dozen catalogue releases),
-/// so a small direct-mapped table hits almost always.
+/// Slots in a connection's [`UaMemo`] (a power of two). The distinct
+/// user-agent population per connection is tiny (a few dozen catalogue
+/// releases), so a small direct-mapped table hits almost always.
 const UA_MEMO_SLOTS: usize = 64;
 
-/// FNV-1a 64-bit over `bytes` — the same fixed, platform-independent
-/// hash family the verdict cache keys on (POLY-D004): never
-/// `RandomState`, so replays behave identically in every process.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The [`UaMemo`] slot for `ua`: a fixed multiply-xor mix over the bytes
+/// eight at a time, high bits kept. Never `RandomState` (POLY-D004), so
+/// the slot pattern is identical in every process. Only the memo's hit
+/// rate depends on the mix: an exact string compare guards every hit.
+fn ua_memo_slot(ua: &[u8]) -> usize {
+    const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut words = ua.chunks_exact(8);
+    let mut h = ua.len() as u64;
+    for word in &mut words {
+        let word = <[u8; 8]>::try_from(word).map_or(0, u64::from_le_bytes);
+        h = (h ^ word).wrapping_mul(MIX).rotate_left(29);
     }
-    h
+    let mut tail = [0u8; 8];
+    for (dst, &src) in tail.iter_mut().zip(words.remainder()) {
+        *dst = src;
+    }
+    h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(MIX);
+    (h >> (64 - UA_MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 /// Per-connection memo of parsed user-agent strings, direct-mapped by
-/// FNV-1a of the raw bytes.
+/// [`ua_memo_slot`] of the raw bytes.
 ///
 /// Submission traffic repeats a tiny distinct UA population (the
 /// paper's coarse-fingerprint premise), so the serve path pays the
 /// multi-token sniffing parse once per distinct string per connection
 /// instead of once per frame. Deterministic by construction: the fixed
-/// hash picks a slot and an exact string comparison guards the hit, so
+/// mix picks a slot and an exact string comparison guards the hit, so
 /// a collision merely re-parses — it can never mis-attribute a result.
 #[derive(Debug)]
 struct UaMemo {
@@ -1182,7 +1198,7 @@ impl UaMemo {
     /// seen before. Parse failures are not memoised (malformed frames
     /// are the rare path and already charged as such).
     fn parse(&mut self, ua: &str) -> Option<UserAgent> {
-        let slot = (fnv1a64(ua.as_bytes()) % UA_MEMO_SLOTS as u64) as usize;
+        let slot = ua_memo_slot(ua.as_bytes());
         if let Some(Some((cached, parsed))) = self.slots.get(slot) {
             if cached == ua {
                 return Some(*parsed);
@@ -1636,5 +1652,27 @@ mod tests {
         );
         assert_eq!(server.stats().swaps, 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn ua_memo_answers_match_a_fresh_parse_through_slot_collisions() {
+        // More distinct strings than slots forces collisions: the exact
+        // string compare must keep every memo answer equal to a fresh
+        // parse, the claimed OS included.
+        let uas: Vec<String> = (60..110)
+            .flat_map(|v| [Vendor::Chrome, Vendor::Firefox, Vendor::Edge].map(|x| (x, v)))
+            .map(|(vendor, version)| UserAgent::new(vendor, version).to_ua_string())
+            .collect();
+        assert!(uas.len() > UA_MEMO_SLOTS);
+        let whole = |ua: Option<UserAgent>| ua.map(|u| (u.vendor, u.version, u.os));
+        let mut memo = UaMemo::new();
+        for _ in 0..2 {
+            for ua in &uas {
+                assert_eq!(whole(memo.parse(ua)), whole(ua.parse().ok()), "{ua}");
+            }
+        }
+        assert!(uas
+            .iter()
+            .all(|ua| ua_memo_slot(ua.as_bytes()) < UA_MEMO_SLOTS));
     }
 }

@@ -143,7 +143,8 @@ fn cached_v1_verdict_never_survives_publish_and_swap_to_v2() {
 /// only. The old gauge counted every resident slot, so after a swap the
 /// stale v1 entries (which can never serve a hit, they await CLOCK
 /// eviction) were reported as live cache — here that would read 2 where
-/// the truth is 1.
+/// the truth is 1. The gauge must also fall to zero at the swap itself,
+/// not only once the next batch republishes it.
 #[test]
 fn occupancy_gauge_excludes_stale_epoch_slots_across_a_swap() {
     let occupancy = |server: &RiskServerHandle| -> i64 {
@@ -180,9 +181,17 @@ fn occupancy_gauge_excludes_stale_epoch_slots_across_a_swap() {
     ask(addr, 2);
     assert_eq!(occupancy(&server), 1, "one v1 entry live");
 
-    // Swap to v2, then cache a *different* key. The v1 slot stays
-    // resident (stale, awaiting sweep) — only the v2 entry is live.
+    // The swap itself publishes the gauge: before any further traffic
+    // it already reads zero, as `cache.occupancy` promises.
     server.swap_detector(Detector::new(model_v2()));
+    assert_eq!(
+        occupancy(&server),
+        0,
+        "the swap must zero the gauge at once"
+    );
+
+    // Cache a *different* key under v2. The v1 slot stays resident
+    // (stale, awaiting sweep) — only the v2 entry is live.
     ask_honest_chrome100(addr, 3);
     assert_eq!(
         occupancy(&server),

@@ -72,6 +72,7 @@ impl Default for LintConfig {
                 "crates/service/src/proto.rs".into(),
                 "crates/service/src/client.rs".into(),
                 "crates/fingerprint/src/wire.rs".into(),
+                "crates/cache/src/".into(),
             ],
             concurrency_zone: vec![
                 "crates/cache/src/".into(),

@@ -254,8 +254,8 @@ fn dogfooding_allows_are_load_bearing() {
     let root = workspace_root();
     let full = workspace_config();
     let cases: &[(&str, &str, &[u32])] = &[
-        ("POLY-L002", "crates/service/src/server.rs", &[955, 1123]),
-        ("POLY-L003", "crates/cache/src/lib.rs", &[105, 114, 156]),
+        ("POLY-L002", "crates/service/src/server.rs", &[961, 1131]),
+        ("POLY-L003", "crates/cache/src/lib.rs", &[242, 280, 335]),
         ("POLY-L003", "crates/ml/src/pool.rs", &[37, 101]),
     ];
     for (rule, file, lines) in cases {
